@@ -18,7 +18,6 @@ from .cralgebra import (
     FiltrationResult,
     GeometryReport,
     analyze,
-    check_bracket_closed,
     filtration,
     geometry,
     holomorphic_degeneracy_witness,
@@ -29,6 +28,7 @@ from .chevalley import (
     ChevalleyAlgebra,
     Subspace,
     build_chevalley,
+    cross_check,
     jacobi_check,
     levi_tensor_kernel,
     oracle_filtration,
@@ -53,6 +53,7 @@ from .parabolic import (
     parabolic_from_subset,
 )
 from .roots import (
+    InvariantViolation,
     Root,
     RootSystem,
     UnknownRootSystem,

@@ -25,7 +25,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-from .roots import Root, RootSystem, kappa, pairing
+from .roots import InvariantViolation, Root, RootSystem, kappa, pairing
 
 Vec = dict[int, int]
 
@@ -423,7 +423,7 @@ def subspace_from_rootset(ca: ChevalleyAlgebra, root_set, include_cartan: bool) 
 
 def subspace_root_content(ca: ChevalleyAlgebra, sub: Subspace) -> tuple[frozenset[Root], int]:
     """Decompose an ad(Cartan)-stable subspace into its root set and its
-    Cartan dimension; asserts every echelon row is supported either on a
+    Cartan dimension; every echelon row must be supported either on a
     single root coordinate or inside the Cartan block."""
     n = ca.rs.rank
     roots = []
@@ -432,8 +432,9 @@ def subspace_root_content(ca: ChevalleyAlgebra, sub: Subspace) -> tuple[frozense
         cols = [c for c, _ in row]
         if all(c < n for c in cols):
             cartan += 1
+        elif len(cols) != 1:
+            raise InvariantViolation("row mixes root spaces; subspace is not a root-space sum")
         else:
-            assert len(cols) == 1, "row mixes root spaces; subspace is not a root-space sum"
             roots.append(ca.basis_root[cols[0]])
     return frozenset(roots), cartan
 
@@ -517,3 +518,33 @@ def oracle_minimality(ca: ChevalleyAlgebra, q_plus: Subspace) -> bool:
         if nxt == current:
             return current.dim == ca.dim
         current = nxt
+
+
+def cross_check(rs: RootSystem, q_roots, sigma_q, fast_levels, fast_minimal: bool) -> None:
+    """Re-derive one case by bracket arithmetic and compare it with the
+    fast root-set answers: chain length, each level's root content and
+    Cartan dimension, the Levi-tensor kernels, and minimality of
+    q + sigma(q).  Reads root sets only; raises InvariantViolation naming
+    the first disagreement."""
+    ca = build_chevalley(rs)
+    sq_sub = subspace_from_rootset(ca, sigma_q, True)
+    levels = oracle_filtration(ca, subspace_from_rootset(ca, q_roots, True), sq_sub)
+    if len(levels) != len(fast_levels):
+        raise InvariantViolation(
+            f"oracle chain has {len(levels)} levels, fast path {len(fast_levels)}"
+        )
+    for k, (sub, fast) in enumerate(zip(levels, fast_levels)):
+        roots, cartan = subspace_root_content(ca, sub)
+        if cartan != rs.rank:
+            raise InvariantViolation(f"oracle level {k} has Cartan dimension {cartan}, not {rs.rank}")
+        if roots != fast:
+            raise InvariantViolation(
+                f"oracle level {k} lacks {len(fast - roots)} and adds {len(roots - fast)} "
+                "roots against the fast path"
+            )
+    for k in range(1, len(levels) + 1):
+        if levi_tensor_kernel(ca, levels, sq_sub, k) != levels[min(k, len(levels) - 1)]:
+            raise InvariantViolation(f"Levi-tensor kernel {k} disagrees with the oracle chain")
+    minimal = oracle_minimality(ca, subspace_from_rootset(ca, q_roots | sigma_q, True))
+    if minimal != fast_minimal:
+        raise InvariantViolation(f"oracle minimality {minimal}, fast path {fast_minimal}")

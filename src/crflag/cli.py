@@ -1,19 +1,21 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 theorem violation or self-test mismatch,
-2 usage/validation error, 3 internal invariant violation.
+2 usage/validation error, 3 internal invariant violation (an oracle
+mismatch included, also under ``python -O``), 141 stdout closed early.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass
 
+from .chevalley import cross_check
 from .cralgebra import (
     ORBIT_CR,
-    CRAlgebraData,
     analyze,
     filtration,
     geometry,
@@ -21,22 +23,15 @@ from .cralgebra import (
     is_minimal,
     nondegeneracy_order,
 )
-from .chevalley import (
-    build_chevalley,
-    levi_tensor_kernel,
-    oracle_filtration,
-    oracle_minimality,
-    subspace_from_rootset,
-    subspace_root_content,
-)
 from .involution import (
     InvolutionData,
     InvolutionError,
     cayley_update,
     identity_involution,
     involution_from_matrix,
+    strongly_orthogonal,
 )
-from .parabolic import NotMaximal, ParabolicData, c_of_q, parabolic_from_subset
+from .parabolic import ParabolicData, c_of_q, parabolic_from_subset
 from .roots import RootSystem, UnknownRootSystem, build_root_system, format_root
 from .survey import SurveyRow, TheoremViolation, run_survey
 
@@ -173,22 +168,6 @@ class AnalysisReport:
         return "\n".join(lines)
 
 
-def _run_oracle(cr: CRAlgebraData) -> None:
-    ca = build_chevalley(cr.rs)
-    q_sub = subspace_from_rootset(ca, cr.q.root_set, True)
-    sq_sub = subspace_from_rootset(ca, cr.sigma_q, True)
-    levels = oracle_filtration(ca, q_sub, sq_sub)
-    fast = filtration(cr)
-    assert len(levels) == len(fast.levels)
-    for sub, roots in zip(levels, fast.levels):
-        got_roots, cartan = subspace_root_content(ca, sub)
-        assert cartan == cr.rs.rank and got_roots == roots
-    for k in range(1, len(levels) + 1):
-        assert levi_tensor_kernel(ca, levels, sq_sub, k) == levels[min(k, len(levels) - 1)]
-    q_plus_sub = subspace_from_rootset(ca, cr.q_plus, True)
-    assert oracle_minimality(ca, q_plus_sub) == is_minimal(cr)
-
-
 def build_report(rs: RootSystem, q: ParabolicData, sigma: InvolutionData,
                  run_oracle: bool) -> AnalysisReport:
     cr = analyze(rs, q, sigma)
@@ -208,8 +187,9 @@ def build_report(rs: RootSystem, q: ParabolicData, sigma: InvolutionData,
         degenerate = w is not None
         if w is not None:
             witness = _root_strings(rs, w)
+    minimal = is_minimal(cr)
     if run_oracle:
-        _run_oracle(cr)
+        cross_check(rs, q.root_set, cr.sigma_q, filt.levels, minimal)
     return AnalysisReport(
         family=rs.family,
         rank=rs.rank,
@@ -226,7 +206,7 @@ def build_report(rs: RootSystem, q: ParabolicData, sigma: InvolutionData,
         order=order if isinstance(order, int) else None,
         degenerate=degenerate,
         witness=witness,
-        minimal=is_minimal(cr),
+        minimal=minimal,
         c_of_q=c_of_q(rs, q) if q.is_maximal else None,
         oracle_checked=run_oracle,
     )
@@ -237,11 +217,15 @@ def _sigma_from_args(rs: RootSystem, args) -> InvolutionData:
         return identity_involution(rs)
     if args.cayley is not None:
         sigma = identity_involution(rs)
-        for root in _parse_root_list(args.cayley, rs.rank, "--cayley"):
+        chain = _parse_root_list(args.cayley, rs.rank, "--cayley")
+        for i, root in enumerate(chain):
             try:
                 sigma = cayley_update(rs, sigma, root)
             except InvolutionError as exc:
                 raise UsageError(f"--cayley: {exc}") from exc
+            if not all(strongly_orthogonal(rs, root, earlier) for earlier in chain[:i]):
+                raise UsageError(f"--cayley: root {format_root(root)} is not strongly "
+                                 "orthogonal to every earlier chain root")
         return sigma
     matrix = _parse_matrix(args.sigma_matrix, rs.rank, "--sigma-matrix")
     try:
@@ -447,11 +431,17 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (NotMaximal, UnknownRootSystem, InvolutionError, ValueError) as exc:
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe then raises here, also for short output
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout: send the exit-time flush of what is
+        # still buffered to /dev/null, so it cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except AssertionError as exc:

@@ -221,8 +221,3 @@ def is_minimal(cr: CRAlgebraData) -> bool:
     """True iff q + sigma(q) generates the whole algebra, i.e. the addition
     closure of its root content is all of Phi."""
     return addition_closure(cr.rs, cr.q_plus) == frozenset(cr.rs.roots)
-
-
-def check_bracket_closed(rs: RootSystem, root_set) -> bool:
-    """True iff the set is closed under root addition within Phi."""
-    return check_root_set_closed(rs, root_set)

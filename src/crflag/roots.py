@@ -22,6 +22,11 @@ class UnknownRootSystem(ValueError):
     """Raised when (family, rank) does not name a simple type."""
 
 
+class InvariantViolation(AssertionError):
+    """An internal consistency check failed; raised explicitly, so it
+    still fires under ``python -O``."""
+
+
 _MIN_RANK = {"A": 1, "B": 2, "C": 3, "D": 4, "E": 6, "F": 4, "G": 2}
 _MAX_RANK = {"E": 8, "F": 4, "G": 2}
 

@@ -14,14 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .chevalley import (
-    build_chevalley,
-    levi_tensor_kernel,
-    oracle_filtration,
-    oracle_minimality,
-    subspace_from_rootset,
-    subspace_root_content,
-)
+from .chevalley import cross_check
 from .cralgebra import (
     DEGENERATE,
     ORBIT_CR,
@@ -83,35 +76,6 @@ def _ranks(family: str, max_rank: int) -> list[int]:
     return [r for r in range(1, max_rank + 1) if is_valid_type(family, r)]
 
 
-# oracle results depend only on the two root sets; identical cases are not
-# re-derived within a process
-_ORACLE_SEEN: set = set()
-
-
-def _oracle_check(rs, q_roots, sigma_q_roots, fast_levels, fast_minimal, q_plus):
-    """Oracle equivalence for one case; memoized on the two root sets,
-    which determine both computations completely."""
-    key = (rs.family, rs.rank, q_roots, sigma_q_roots)
-    if key in _ORACLE_SEEN:
-        return
-    ca = build_chevalley(rs)
-    q_sub = subspace_from_rootset(ca, q_roots, True)
-    sq_sub = subspace_from_rootset(ca, sigma_q_roots, True)
-    levels = oracle_filtration(ca, q_sub, sq_sub)
-    assert len(levels) == len(fast_levels), "oracle and fast chains differ in length"
-    for oracle_level, fast_level in zip(levels, fast_levels):
-        roots, cartan = subspace_root_content(ca, oracle_level)
-        assert cartan == rs.rank, "every level contains the Cartan"
-        assert roots == fast_level, "oracle level disagrees with the root rule"
-    for k in range(1, len(levels) + 1):
-        kernel = levi_tensor_kernel(ca, levels, sq_sub, k)
-        assert kernel == levels[min(k, len(levels) - 1)], (
-            "Levi-tensor kernel disagrees with the filtration level"
-        )
-    assert oracle_minimality(ca, subspace_from_rootset(ca, q_plus, True)) == fast_minimal
-    _ORACLE_SEEN.add(key)
-
-
 def run_survey(
     families,
     max_rank: int,
@@ -124,6 +88,9 @@ def run_survey(
     involution enumeration order."""
     fams = sorted(set(families), key=FAMILIES.index)
     rows: list[SurveyRow] = []
+    # oracle results depend only on the two root sets; a case already
+    # cross-checked in this sweep is not re-derived
+    seen: set = set()
     for family in fams:
         for rank in _ranks(family, max_rank):
             rs = build_root_system(family, rank)
@@ -151,12 +118,12 @@ def run_survey(
                 cq = c_of_q(rs, q) if q.is_maximal else None
                 for sigma in involutions:
                     rows.append(
-                        _survey_case(rs, q, cq, sigma, hypersurface_only, oracle_max_rank)
+                        _survey_case(rs, q, cq, sigma, hypersurface_only, oracle_max_rank, seen)
                     )
     return [r for r in rows if r is not None]
 
 
-def _survey_case(rs, q, cq, sigma, hypersurface_only, oracle_max_rank):
+def _survey_case(rs, q, cq, sigma, hypersurface_only, oracle_max_rank, seen):
     label = provenance_label(sigma)
     cr = analyze(rs, q, sigma)
     geo = geometry(cr)
@@ -187,11 +154,11 @@ def _survey_case(rs, q, cq, sigma, hypersurface_only, oracle_max_rank):
         violate(f"order {order} exceeds the bound c(q)+1 = {cq + 1}")
 
     bound = (order <= cq + 1) if (finite and q.is_maximal) else None
-    oracle_checked = False
-    if rs.rank <= oracle_max_rank:
-        fast = filtration(cr)
-        _oracle_check(rs, q.root_set, cr.sigma_q, fast.levels, minimal, cr.q_plus)
-        oracle_checked = True
+    oracle_checked = rs.rank <= oracle_max_rank
+    key = (rs.family, rs.rank, q.root_set, cr.sigma_q)
+    if oracle_checked and key not in seen:
+        cross_check(rs, q.root_set, cr.sigma_q, filtration(cr).levels, minimal)
+        seen.add(key)
 
     return SurveyRow(
         family=rs.family,

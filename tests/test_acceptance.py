@@ -13,7 +13,6 @@ from crflag.cralgebra import (
     ORBIT_OPEN,
     ORBIT_TOTALLY_REAL,
     analyze,
-    check_bracket_closed,
     filtration,
     geometry,
     is_minimal,
@@ -26,7 +25,7 @@ from crflag.involution import (
     involution_from_matrix,
     strongly_orthogonal,
 )
-from crflag.parabolic import parabolic_from_subset
+from crflag.parabolic import check_root_set_closed, parabolic_from_subset
 from crflag.roots import build_root_system, is_valid_type, parse_root
 from crflag.survey import highest_coefficient_table, run_survey
 
@@ -171,7 +170,7 @@ def test_criterion_6_property_suites():
                     qr = {i + 1 for i in range(rs.rank) if mask >> i & 1}
                     cr = analyze(rs, parabolic_from_subset(rs, qr), sigma)
                     for level in filtration(cr).levels:
-                        assert check_bracket_closed(rs, level)
+                        assert check_root_set_closed(rs, level)
         # commuting strongly orthogonal Cayley steps
         for family, rank in (("B", 3), ("C", 3), ("B", 4), ("D", 4)):
             rs = build_root_system(family, rank)

@@ -1,9 +1,15 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from crflag import cli
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def run_cli(capsys, *argv):
@@ -113,10 +119,12 @@ def test_analyze_text_golden_snapshot(capsys):
 
 
 def test_analyze_degenerate_case_reports_witness(capsys):
-    # B3 with a non-maximal parabolic and a hypersurface involution
+    # B3 with a non-maximal parabolic and a hypersurface involution; the
+    # chain e1-e2, e1+e2 gives the same involution as the orthogonal but
+    # not strongly orthogonal short roots e2, e1 ("0,1,1|1,1,1")
     code, out, _ = run_cli(
         capsys, "analyze", "--family", "B", "--rank", "3", "--parabolic", "1",
-        "--cayley", "0,1,1|1,1,1", "--format", "json",
+        "--cayley", "1,0,0|1,2,2", "--format", "json",
     )
     assert code == 0
     data = json.loads(out)
@@ -146,6 +154,18 @@ def test_validation_errors_exit_two(capsys, argv):
     code, _, err = run_cli(capsys, *argv)
     assert code == 2
     assert err
+
+
+@pytest.mark.parametrize(
+    "chain, code", [("0,1,0|1,1,1", 0), ("0,1,0|0,1,0", 2), ("0,1,1|1,1,1", 2)]
+)
+def test_cayley_chain_must_be_strongly_orthogonal(capsys, chain, code):
+    got, _, err = run_cli(
+        capsys, "analyze", "--family", "B", "--rank", "3", "--parabolic", "1,3",
+        "--cayley", chain,
+    )
+    assert got == code
+    assert ("--cayley" in err) == (code == 2)
 
 
 def test_missing_sigma_flag_exits_two(capsys):
@@ -267,3 +287,49 @@ def test_internal_invariant_violation_exits_three(capsys, monkeypatch):
 def test_help_exits_zero(capsys):
     code, _, _ = run_cli(capsys, "--help")
     assert code == 0
+
+
+def _python(*args, **kwargs):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.Popen([sys.executable, *args], env=env, **kwargs)
+
+
+_TRUNCATED_SURVEY = """
+import dataclasses, sys
+from crflag import survey
+from crflag.roots import InvariantViolation
+real = survey.filtration
+survey.filtration = lambda cr: dataclasses.replace(real(cr), levels=real(cr).levels[:-1])
+try:
+    survey.run_survey(["B"], 3, 2, oracle_max_rank=3)
+except InvariantViolation:
+    sys.exit(3)
+"""
+
+_WRONG_MINIMALITY = f"""
+import sys
+from crflag import cli
+cli.is_minimal = lambda cr: False
+sys.exit(cli.main({list(GOLDEN_ARGS) + ["--oracle"]!r}))
+"""
+
+
+@pytest.mark.parametrize("script", [_TRUNCATED_SURVEY, _WRONG_MINIMALITY],
+                         ids=["survey-truncated-chain", "analyze-wrong-minimality"])
+def test_oracle_mismatch_is_caught_under_python_O(script):
+    proc = _python("-O", "-c", script, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    out, err = proc.communicate(timeout=300)
+    assert proc.returncode == 3, (out, err)
+
+
+def test_closed_stdout_exits_141_without_traceback():
+    proc = _python(
+        "-m", "crflag", "survey", "--families", "A,B,C,D", "--max-rank", "4",
+        "--oracle-max-rank", "0", stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline().startswith(b"family")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=300) == 141
+    assert err == b""

@@ -8,7 +8,6 @@ from crflag.cralgebra import (
     OrbitTypeError,
     addition_closure,
     analyze,
-    check_bracket_closed,
     filter_levels,
     filtration,
     geometry,
@@ -22,7 +21,7 @@ from crflag.involution import (
     identity_involution,
     involution_from_matrix,
 )
-from crflag.parabolic import parabolic_from_subset
+from crflag.parabolic import check_root_set_closed, parabolic_from_subset
 from crflag.roots import build_root_system, parse_root
 
 
@@ -148,7 +147,7 @@ def test_non_maximal_hypersurface_is_degenerate():
     assert nondegeneracy_order(cr) == DEGENERATE
     witness = holomorphic_degeneracy_witness(cr)
     assert witness is not None
-    assert check_bracket_closed(rs, witness)
+    assert check_root_set_closed(rs, witness)
     assert cr.q.root_set < witness <= cr.q_plus
 
 
@@ -190,19 +189,19 @@ def test_addition_closure():
     assert addition_closure(rs, negatives) == frozenset(negatives)
 
 
-def test_check_bracket_closed():
+def test_check_root_set_closed():
     rs = build_root_system("A", 2)
     negatives = {tuple(-c for c in b) for b in rs.positive_roots}
-    assert check_bracket_closed(rs, negatives)
-    assert check_bracket_closed(rs, {(1, 0)})
-    assert not check_bracket_closed(rs, {(1, 0), (0, 1)})
+    assert check_root_set_closed(rs, negatives)
+    assert check_root_set_closed(rs, {(1, 0)})
+    assert not check_root_set_closed(rs, {(1, 0), (0, 1)})
 
 
 def test_filtration_levels_are_bracket_closed_and_nested(golden):
     _, q, _, cr = golden
     f = filtration(cr)
     for i, level in enumerate(f.levels):
-        assert check_bracket_closed(cr.rs, level)
+        assert check_root_set_closed(cr.rs, level)
         assert cr.q_infty <= level <= q.root_set
         if i:
             assert level < f.levels[i - 1]

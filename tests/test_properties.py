@@ -7,7 +7,6 @@ from crflag.cralgebra import (
     ORBIT_CR,
     ORBIT_OPEN,
     analyze,
-    check_bracket_closed,
     filter_levels,
     filtration,
     geometry,
@@ -22,7 +21,12 @@ from crflag.involution import (
     involution_from_matrix,
     strongly_orthogonal,
 )
-from crflag.parabolic import c_of_q, has_nonresonant_field, parabolic_from_subset
+from crflag.parabolic import (
+    c_of_q,
+    check_root_set_closed,
+    has_nonresonant_field,
+    parabolic_from_subset,
+)
 from crflag.roots import build_root_system, kappa, pairing
 
 SYSTEMS = [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("B", 3), ("C", 3), ("G", 2)]
@@ -46,7 +50,7 @@ def cases(draw):
 @given(cases())
 def test_parabolic_root_sets_bracket_closed(case):
     rs, q, _ = case
-    assert check_bracket_closed(rs, q.root_set)
+    assert check_root_set_closed(rs, q.root_set)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -97,7 +101,7 @@ def test_filtration_invariants(case):
     assert f.levels[0] == q.root_set
     for i, level in enumerate(f.levels):
         assert cr.q_infty <= level <= q.root_set
-        assert check_bracket_closed(rs, level)
+        assert check_root_set_closed(rs, level)
         if i:
             assert level < f.levels[i - 1]
     assert f.stationary_index == len(f.levels) - 1
@@ -127,7 +131,7 @@ def test_witness_iff_degenerate_and_order_bound(case):
     witness = holomorphic_degeneracy_witness(cr)
     assert (witness is not None) == (order == DEGENERATE)
     if witness is not None:
-        assert check_bracket_closed(rs, witness)
+        assert check_root_set_closed(rs, witness)
         assert q.root_set < witness <= cr.q_plus
     else:
         assert 1 <= order <= len(q.root_set) - len(cr.q_infty)

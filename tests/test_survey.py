@@ -1,5 +1,6 @@
 import pytest
 
+from crflag import survey
 from crflag.cralgebra import DEGENERATE, ORBIT_CR, ORBIT_TOTALLY_REAL
 from crflag.involution import identity_involution
 from crflag.roots import build_root_system
@@ -87,6 +88,24 @@ def test_maximal_cr_rows_minimal_and_finite(small_survey):
         if row.orbit_type == ORBIT_CR and row.c_of_q is not None:
             assert isinstance(row.order, int)
             assert row.minimal
+
+
+def test_each_survey_runs_its_own_cross_checks(monkeypatch):
+    calls = []
+    real = survey.cross_check
+
+    def counting(rs, q_roots, sigma_q, fast_levels, fast_minimal):
+        calls.append((rs.family, rs.rank, q_roots, sigma_q))
+        real(rs, q_roots, sigma_q, fast_levels, fast_minimal)
+
+    monkeypatch.setattr(survey, "cross_check", counting)
+    rows = run_survey(["A"], max_rank=3, involution_source=2, oracle_max_rank=3)
+    first = len(calls)
+    # one derivation per distinct pair of root sets within a sweep ...
+    assert 0 < first == len(set(calls)) < len(rows)
+    # ... and none carried over into the next sweep
+    assert run_survey(["A"], max_rank=3, involution_source=2, oracle_max_rank=3) == rows
+    assert calls[first:] == calls[:first]
 
 
 def test_theorem_violation_reproducer():

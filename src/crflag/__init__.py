@@ -57,7 +57,6 @@ from .roots import (
     Root,
     RootSystem,
     UnknownRootSystem,
-    add_roots,
     build_root_system,
     format_root,
     highest_root,

@@ -252,10 +252,10 @@ def build_chevalley(rs: RootSystem) -> ChevalleyAlgebra:
     coroot: dict[Root, tuple[int, ...]] = {}
     h_action: dict[Root, tuple[int, ...]] = {}
     for beta in rs.roots:
-        kbb = kappa(rs, beta, beta)
+        kbb = rs.inner(beta, beta)
         co = []
         for i, c in enumerate(beta):
-            val = c * rs.form[i][i] / kbb
+            val = Fraction(c * rs.form[i][i], kbb)
             assert val.denominator == 1, "coroots are integral over the coroot basis"
             co.append(int(val))
         coroot[beta] = tuple(co)

@@ -11,7 +11,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .chevalley import cross_check
 from .cralgebra import (
@@ -343,22 +343,7 @@ def _survey_text(rows: list[SurveyRow]) -> str:
 
 
 def _survey_json(rows: list[SurveyRow]) -> str:
-    out = []
-    for row in rows:
-        out.append({
-            "family": row.family,
-            "rank": row.rank,
-            "qr": list(row.qr),
-            "involution": row.involution,
-            "orbit_type": row.orbit_type,
-            "cr_codim": row.cr_codim,
-            "order": row.order,
-            "c_of_q": row.c_of_q,
-            "bound_satisfied": row.bound_satisfied,
-            "minimal": row.minimal,
-            "oracle_checked": row.oracle_checked,
-        })
-    return json.dumps(out, sort_keys=True)
+    return json.dumps([asdict(r) for r in rows], sort_keys=True)
 
 
 def cmd_survey(args) -> int:

@@ -111,17 +111,14 @@ def _next_level(rs: RootSystem, level: frozenset[Root], sigma_q: frozenset[Root]
     """One kernel step: keep alpha iff every bracket against sigma(q)
     stays in level + sigma(q) (sums through 0 land in the Cartan)."""
     sums = root_sum_table(rs)
-    keep = []
-    for alpha in level:
-        ok = True
-        for beta in sigma_q:
-            s = sums.get((alpha, beta))
-            if s is not None and s not in level and s not in sigma_q:
-                ok = False
-                break
-        if ok:
-            keep.append(alpha)
-    return frozenset(keep)
+    return frozenset(
+        alpha
+        for alpha in level
+        if not any(
+            beta in sigma_q and s not in level and s not in sigma_q
+            for beta, s in sums[alpha].items()
+        )
+    )
 
 
 def filter_levels(rs: RootSystem, q_roots: frozenset[Root], sigma_q: frozenset[Root]) -> list[frozenset[Root]]:
@@ -206,11 +203,7 @@ def addition_closure(rs: RootSystem, roots) -> frozenset[Root]:
     queue = list(closed)
     while queue:
         a = queue.pop()
-        added = []
-        for b in closed:
-            s = sums.get((a, b))
-            if s is not None and s not in closed:
-                added.append(s)
+        added = [s for b, s in sums[a].items() if b in closed and s not in closed]
         for s in added:
             closed.add(s)
             queue.append(s)

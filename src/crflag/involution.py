@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .roots import Root, RootSystem, int_form, pairing
+from .roots import InvariantViolation, Root, RootSystem, pairing
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -68,16 +68,13 @@ def _validate(rs: RootSystem, m: Matrix) -> None:
             raise InvolutionError(
                 f"matrix does not preserve the root set (image of {beta} is not a root)"
             )
-    # kappa-preservation as the matrix identity M^T F M = F; the roots span
-    # the lattice, so this is equivalent to preserving kappa on all roots.
-    form = int_form(rs)
-    n_range = range(n)
-    for i in n_range:
-        for j in n_range:
-            lhs = sum(
-                m[k][i] * form[k][l] * m[l][j] for k in n_range for l in n_range
-            )
-            if lhs != form[i][j]:
+    # kappa-preservation as the matrix identity M^T F M = F: the images of
+    # the simple roots (the columns of M) keep their inner products; the
+    # roots span the lattice, so this is kappa-preservation on all roots.
+    cols = list(zip(*m))
+    for i in range(n):
+        for j in range(n):
+            if rs.inner(cols[i], cols[j]) != rs.form[i][j]:
                 raise InvolutionError("matrix does not preserve the invariant form")
 
 
@@ -87,6 +84,9 @@ def identity_involution(rs: RootSystem) -> InvolutionData:
 
 def involution_from_matrix(rs: RootSystem, matrix, provenance="explicit") -> InvolutionData:
     """Validate a rank x rank integer matrix as a root-lattice involution."""
+    bad = [x for row in matrix for x in row if int(x) != x]
+    if bad:
+        raise InvolutionError(f"matrix entries {', '.join(map(repr, bad))} are not integers")
     m = tuple(tuple(int(x) for x in row) for row in matrix)
     _validate(rs, m)
     return InvolutionData(matrix=m, provenance=provenance)
@@ -100,7 +100,8 @@ def reflection_matrix(rs: RootSystem, gamma: Root) -> Matrix:
     for j in range(rs.rank):
         e = tuple(int(k == j) for k in range(rs.rank))
         c = pairing(rs, e, gamma)
-        assert isinstance(c, int)
+        if not isinstance(c, int):
+            raise InvariantViolation(f"<alpha_{j + 1}|{gamma}> must be an integer")
         cols.append(tuple(int(i == j) - c * gamma[i] for i in range(rs.rank)))
     return tuple(tuple(cols[j][i] for j in range(rs.rank)) for i in range(rs.rank))
 
@@ -143,13 +144,7 @@ def strongly_orthogonal(rs: RootSystem, gamma1: Root, gamma2: Root) -> bool:
     d = tuple(a - b for a, b in zip(gamma1, gamma2))
     if s in rs.root_lookup or d in rs.root_lookup:
         return False
-    form = int_form(rs)
-    total = sum(
-        a * form[i][j] * b
-        for i, a in enumerate(gamma1) if a
-        for j, b in enumerate(gamma2) if b
-    )
-    return total == 0
+    return rs.inner(gamma1, gamma2) == 0
 
 
 def enumerate_cayley_involutions(rs: RootSystem, max_chain_length: int) -> list[InvolutionData]:
@@ -158,27 +153,27 @@ def enumerate_cayley_involutions(rs: RootSystem, max_chain_length: int) -> list[
 
     Each chain step must be fixed by the current involution and strongly
     orthogonal to every earlier chain root.  Reflections in gamma and
-    -gamma coincide, so only positive representatives are explored.  The
-    returned list is deterministic: breadth first, roots in table order.
+    -gamma coincide, so only positive representatives are explored, and
+    steps at strongly orthogonal roots commute, so each chain is built
+    once, in table order.  The returned list is deterministic: breadth
+    first, chains in lexicographic table order, first matrix kept.
     """
+    positives = rs.positive_roots
     start = identity_involution(rs)
     found: dict[Matrix, InvolutionData] = {start.matrix: start}
-    frontier: list[tuple[InvolutionData, tuple[Root, ...]]] = [(start, ())]
-    seen: set[tuple[Matrix, frozenset[Root]]] = {(start.matrix, frozenset())}
+    # (involution, chain, table index after the chain's last root)
+    frontier: list[tuple[InvolutionData, tuple[Root, ...], int]] = [(start, (), 0)]
     for _ in range(max_chain_length):
-        nxt: list[tuple[InvolutionData, tuple[Root, ...]]] = []
-        for sigma, chain in frontier:
-            for gamma in rs.positive_roots:
+        nxt: list[tuple[InvolutionData, tuple[Root, ...], int]] = []
+        for sigma, chain, first in frontier:
+            for k in range(first, len(positives)):
+                gamma = positives[k]
                 if not all(strongly_orthogonal(rs, gamma, prev) for prev in chain):
                     continue
-                assert sigma.fixes(gamma), "strong orthogonality must imply fixedness"
+                if not sigma.fixes(gamma):
+                    raise InvariantViolation("strong orthogonality must imply fixedness")
                 new = cayley_update(rs, sigma, gamma)
-                state = (new.matrix, frozenset(chain) | {gamma})
-                if state in seen:
-                    continue
-                seen.add(state)
-                nxt.append((new, chain + (gamma,)))
-                if new.matrix not in found:
-                    found[new.matrix] = new
+                nxt.append((new, chain + (gamma,), k + 1))
+                found.setdefault(new.matrix, new)
         frontier = nxt
     return list(found.values())

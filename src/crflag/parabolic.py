@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .roots import Root, RootSystem, highest_root, root_sum_table
+from .roots import InvariantViolation, Root, RootSystem, highest_root, root_sum_table
 
 
 class NotMaximal(ValueError):
@@ -42,10 +42,12 @@ def parabolic_from_subset(rs: RootSystem, qr) -> ParabolicData:
         is_maximal=len(removed) == 1,
         removed_index=removed[0] if len(removed) == 1 else None,
     )
-    assert check_root_set_closed(rs, p.root_set), "parabolic root set must be bracket-closed"
-    assert {b for b in p.root_set if sum(b) == 1 and all(c >= 0 for c in b)} == {
+    if not check_root_set_closed(rs, p.root_set):
+        raise InvariantViolation("parabolic root set must be bracket-closed")
+    if {b for b in p.root_set if sum(b) == 1 and all(c >= 0 for c in b)} != {
         rs.simple(i) for i in kept
-    }
+    }:
+        raise InvariantViolation("the parabolic must contain exactly the kept simple roots")
     return p
 
 
@@ -54,9 +56,8 @@ def check_root_set_closed(rs: RootSystem, root_set) -> bool:
     members = set(root_set)
     sums = root_sum_table(rs)
     for a in members:
-        for b in members:
-            s = sums.get((a, b))
-            if s is not None and s not in members:
+        for b, s in sums[a].items():
+            if b in members and s not in members:
                 return False
     return True
 
@@ -68,7 +69,8 @@ def c_of_q(rs: RootSystem, p: ParabolicData) -> int:
         raise NotMaximal("c(q) is only defined for a maximal parabolic")
     qi = p.removed_index - 1
     c = max(beta[qi] for beta in rs.positive_roots)
-    assert c == highest_root(rs)[qi]
+    if c != highest_root(rs)[qi]:
+        raise InvariantViolation("c(q) must be the highest root's coefficient")
     return c
 
 
@@ -86,7 +88,8 @@ def gradation(rs: RootSystem, p: ParabolicData) -> dict[int, frozenset[Root]]:
     for beta in rs.roots:
         parts[beta[qi]].add(beta)
     out = {j: frozenset(s) for j, s in parts.items()}
-    assert frozenset().union(*(out[j] for j in range(-c, 1))) == p.root_set
+    if frozenset().union(*(out[j] for j in range(-c, 1))) != p.root_set:
+        raise InvariantViolation("the parts j <= 0 must make up the parabolic")
     return out
 
 
@@ -96,11 +99,10 @@ def has_nonresonant_field(rs: RootSystem, p: ParabolicData) -> bool:
     For a maximal parabolic this is equivalent to c(q) = 1, the Hermitian
     case.  Vacuously true when the complement is empty.
     """
-    phi_n = [beta for beta in rs.roots if beta not in p.root_set]
-    complement = set(phi_n)
+    complement = set(rs.roots) - p.root_set
     sums = root_sum_table(rs)
-    for a in phi_n:
-        for b in phi_n:
-            if sums.get((a, b)) in complement:
+    for a in complement:
+        for b, s in sums[a].items():
+            if b in complement and s in complement:
                 return False
     return True

@@ -4,9 +4,11 @@ Everything lives on the root lattice: a root is a tuple of integer
 coefficients over the simple roots alpha_1 .. alpha_n in the Bourbaki
 numbering (for B-types the last simple root is short, for C-types the
 last one is long, for G2 the first one is short).  The invariant form
-kappa is normalized so that long roots have squared length 2; with that
-choice every Cartan pairing <beta|gamma> of two roots is an exact
-integer and all arithmetic stays in ``int``/``Fraction``.
+kappa is normalized so that long roots have squared length 2, and it is
+stored as the integer Gram matrix of 6 kappa on the simple roots (6
+clears every denominator: short roots have kappa 1, or 2/3 in G2), so
+every inner product is an exact ``int``.  ``kappa`` divides it by 6 as a
+``Fraction``; the Cartan pairing <beta|gamma> of two roots is an integer.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import add
 
 Root = tuple[int, ...]
 
@@ -37,6 +40,7 @@ FAMILIES = tuple(_MIN_RANK)
 class RootSystem:
     """Immutable root system data; safe to share between threads.
 
+    ``form`` is the integer Gram matrix of 6 kappa on the simple roots.
     ``root_lookup`` maps a coefficient tuple to a signed id: positive
     roots get 1..N in construction order (by height, then lexicographic),
     their negatives get the negated id.
@@ -46,7 +50,7 @@ class RootSystem:
     rank: int
     cartan_matrix: tuple[tuple[int, ...], ...]
     positive_roots: tuple[Root, ...]
-    form: tuple[tuple[Fraction, ...], ...]
+    form: tuple[tuple[int, ...], ...]
     root_lookup: dict[Root, int]
     roots: tuple[Root, ...]
 
@@ -63,6 +67,14 @@ class RootSystem:
     def is_root(self, v: Root) -> bool:
         return v in self.root_lookup
 
+    def inner(self, beta: Root, gamma: Root) -> int:
+        """6 kappa(beta, gamma), exact."""
+        form = self.form
+        return sum(
+            b * sum(f * g for f, g in zip(form[i], gamma) if g)
+            for i, b in enumerate(beta) if b
+        )
+
     def __repr__(self) -> str:  # pragma: no cover
         return f"RootSystem({self.family}{self.rank})"
 
@@ -76,7 +88,8 @@ def is_valid_type(family: str, rank: int) -> bool:
 
 
 def _cartan_and_lengths(family: str, rank: int):
-    """Cartan matrix A[i][j] = <alpha_i|alpha_j> and half squared lengths d."""
+    """Cartan matrix A[i][j] = <alpha_i|alpha_j> and d[j] = 6 kappa(alpha_j,
+    alpha_j) / 2 = 3 * squared length: 6 long, 3 short, 2 for G2's short root."""
     A = [[0] * rank for _ in range(rank)]
     for i in range(rank):
         A[i][i] = 2
@@ -85,8 +98,7 @@ def _cartan_and_lengths(family: str, rank: int):
         A[i][j] = aij
         A[j][i] = aji
 
-    half = Fraction(1, 2)
-    d = [Fraction(1)] * rank
+    d = [6] * rank
     if family == "A":
         for i in range(rank - 1):
             bond(i, i + 1)
@@ -94,12 +106,12 @@ def _cartan_and_lengths(family: str, rank: int):
         for i in range(rank - 2):
             bond(i, i + 1)
         bond(rank - 2, rank - 1, -2, -1)
-        d[rank - 1] = half
+        d[rank - 1] = 3
     elif family == "C":
         for i in range(rank - 2):
             bond(i, i + 1)
         bond(rank - 2, rank - 1, -1, -2)
-        d = [half] * (rank - 1) + [Fraction(1)]
+        d = [3] * (rank - 1) + [6]
     elif family == "D":
         for i in range(rank - 2):
             bond(i, i + 1)
@@ -113,27 +125,22 @@ def _cartan_and_lengths(family: str, rank: int):
         bond(0, 1)
         bond(1, 2, -2, -1)
         bond(2, 3)
-        d[2] = d[3] = half
+        d[2] = d[3] = 3
     elif family == "G":
         bond(0, 1, -1, -3)
-        d[0] = Fraction(1, 3)
+        d[0] = 2
     else:  # pragma: no cover - guarded by caller
         raise UnknownRootSystem(family)
     return tuple(tuple(row) for row in A), tuple(d)
 
 
-def _positive_closure(rank: int, form) -> list[Root]:
+def _positive_closure(rank: int, cartan) -> list[Root]:
     """Generate the positive roots by closing the simple roots upward.
 
     beta + alpha_i is a root iff the alpha_i-string through beta extends
-    upward, i.e. p - <beta|alpha_i> >= 1 where p counts the downward steps.
+    upward, i.e. p - <beta|alpha_i> >= 1 where p counts the downward steps
+    and <beta|alpha_i> = sum_j beta_j A[j][i].
     """
-
-    def pair_simple(beta: Root, i: int) -> int:
-        val = 2 * sum(beta[j] * form[j][i] for j in range(rank)) / form[i][i]
-        assert val.denominator == 1, "Cartan pairing must be integral"
-        return int(val)
-
     simples = [tuple(int(j == i) for j in range(rank)) for i in range(rank)]
     known: set[Root] = set(simples)
     positives: list[Root] = sorted(simples)
@@ -147,7 +154,7 @@ def _positive_closure(rank: int, form) -> list[Root]:
                 while v in known:
                     p += 1
                     v = tuple(b - int(j == i) for j, b in enumerate(v))
-                if p - pair_simple(beta, i) >= 1:
+                if p - sum(b * cartan[j][i] for j, b in enumerate(beta)) >= 1:
                     s = tuple(b + int(j == i) for j, b in enumerate(beta))
                     if s not in known:
                         fresh.add(s)
@@ -170,10 +177,9 @@ def build_root_system(family: str, rank: int) -> RootSystem:
     form = tuple(
         tuple(d[j] * cartan[i][j] for j in range(rank)) for i in range(rank)
     )
-    for i in range(rank):
-        for j in range(rank):
-            assert form[i][j] == form[j][i], "kappa must be symmetric"
-    positives = _positive_closure(rank, form)
+    if any(form[i][j] != form[j][i] for i in range(rank) for j in range(rank)):
+        raise InvariantViolation("kappa must be symmetric")
+    positives = _positive_closure(rank, cartan)
     lookup: dict[Root, int] = {}
     for idx, beta in enumerate(positives, start=1):
         lookup[beta] = idx
@@ -188,43 +194,28 @@ def build_root_system(family: str, rank: int) -> RootSystem:
         root_lookup=lookup,
         roots=all_roots,
     )
-    # The highest root must exist and dominate coefficient-wise.
+    # The highest root must dominate coefficient-wise, which makes it the
+    # unique maximal root.
     top = highest_root(rs)
-    assert all(all(t >= b for t, b in zip(top, beta)) for beta in positives)
+    if not all(all(t >= b for t, b in zip(top, beta)) for beta in positives):
+        raise InvariantViolation("the highest root must dominate every positive root")
     return rs
 
 
 def kappa(rs: RootSystem, beta: Root, gamma: Root) -> Fraction:
     """The invariant form on the root lattice (long roots have kappa=2)."""
-    total = Fraction(0)
-    for i, b in enumerate(beta):
-        if b:
-            row = rs.form[i]
-            total += b * sum(row[j] * g for j, g in enumerate(gamma) if g)
-    return total
+    return Fraction(rs.inner(beta, gamma), 6)
 
 
 @lru_cache(maxsize=None)
-def int_form(rs: RootSystem) -> tuple[tuple[int, ...], ...]:
-    """6 * kappa as an integer matrix (6 clears every denominator that the
-    length normalization can produce); for fast exact inner products."""
-    scaled = tuple(tuple(6 * x for x in row) for row in rs.form)
-    assert all(v.denominator == 1 for row in scaled for v in row)
-    return tuple(tuple(int(v) for v in row) for row in scaled)
-
-
-@lru_cache(maxsize=None)
-def root_sum_table(rs: RootSystem) -> dict[tuple[Root, Root], Root]:
-    """Precomputed root sums: (alpha, beta) -> alpha+beta for exactly the
-    pairs whose sum is again a root."""
+def root_sum_table(rs: RootSystem) -> dict[Root, dict[Root, Root]]:
+    """Precomputed root sums, per root: alpha -> {beta: alpha+beta} for
+    exactly the beta whose sum with alpha is again a root."""
     lookup = rs.root_lookup
-    table: dict[tuple[Root, Root], Root] = {}
-    for a in rs.roots:
-        for b in rs.roots:
-            s = tuple(x + y for x, y in zip(a, b))
-            if s in lookup:
-                table[(a, b)] = s
-    return table
+    return {
+        a: {b: s for b in rs.roots if (s := tuple(map(add, a, b))) in lookup}
+        for a in rs.roots
+    }
 
 
 def pairing(rs: RootSystem, beta: Root, gamma: Root):
@@ -233,38 +224,17 @@ def pairing(rs: RootSystem, beta: Root, gamma: Root):
     Returns an ``int`` when the value is integral (always the case for two
     roots) and a ``Fraction`` otherwise.  gamma = 0 raises ZeroDivisionError.
     """
-    denom = kappa(rs, gamma, gamma)
+    denom = rs.inner(gamma, gamma)
     if denom == 0:
         raise ZeroDivisionError("pairing <.|gamma> needs kappa(gamma,gamma) != 0")
-    val = 2 * kappa(rs, beta, gamma) / denom
-    return int(val) if val.denominator == 1 else val
-
-
-def add_roots(rs: RootSystem, beta: Root, gamma: Root) -> Root | None:
-    """Classify beta + gamma: the sum if it is a root, the zero tuple if
-    gamma = -beta, and None if the sum is neither (bracket vanishes)."""
-    if beta not in rs.root_lookup or gamma not in rs.root_lookup:
-        raise ValueError("add_roots expects two roots")
-    s = tuple(b + g for b, g in zip(beta, gamma))
-    if s in rs.root_lookup:
-        return s
-    if not any(s):
-        return rs.zero
-    return None
+    num = 2 * rs.inner(beta, gamma)
+    return num // denom if num % denom == 0 else Fraction(num, denom)
 
 
 def highest_root(rs: RootSystem) -> Root:
-    """The unique maximal root in the coefficient-wise partial order."""
-    maximal = [
-        beta
-        for beta in rs.positive_roots
-        if not any(
-            other != beta and all(o >= b for o, b in zip(other, beta))
-            for other in rs.positive_roots
-        )
-    ]
-    assert len(maximal) == 1, "simple systems have a unique highest root"
-    return maximal[0]
+    """The positive root of greatest height (``build_root_system`` checks
+    that it dominates every root, so it is the unique maximal one)."""
+    return max(rs.positive_roots, key=sum)
 
 
 def format_root(root: Root) -> str:

@@ -25,12 +25,7 @@ from .cralgebra import (
     is_minimal,
     nondegeneracy_order,
 )
-from .involution import (
-    InvolutionData,
-    InvolutionError,
-    enumerate_cayley_involutions,
-    involution_from_matrix,
-)
+from .involution import InvolutionData, enumerate_cayley_involutions
 from .parabolic import c_of_q, parabolic_from_subset
 from .roots import FAMILIES, build_root_system, format_root, highest_root, is_valid_type
 
@@ -79,13 +74,14 @@ def _ranks(family: str, max_rank: int) -> list[int]:
 def run_survey(
     families,
     max_rank: int,
-    involution_source: int | list[InvolutionData] = 3,
+    involution_source: int = 3,
     hypersurface_only: bool = False,
     oracle_max_rank: int = 4,
 ) -> list[SurveyRow]:
-    """One row per (parabolic subset, involution) case, in deterministic
-    order: family, rank, subset (by size then lexicographically), then
-    involution enumeration order."""
+    """One row per (parabolic subset, involution) case, the involutions
+    being the Cayley chains of length at most ``involution_source``, in
+    deterministic order: family, rank, subset (by size then
+    lexicographically), then involution enumeration order."""
     fams = sorted(set(families), key=FAMILIES.index)
     rows: list[SurveyRow] = []
     # oracle results depend only on the two root sets; a case already
@@ -94,20 +90,7 @@ def run_survey(
     for family in fams:
         for rank in _ranks(family, max_rank):
             rs = build_root_system(family, rank)
-            if isinstance(involution_source, int):
-                involutions = enumerate_cayley_involutions(rs, involution_source)
-            else:
-                # explicit list: keep the entries that are valid for this system
-                involutions = []
-                for entry in involution_source:
-                    matrix = entry.matrix if isinstance(entry, InvolutionData) else entry
-                    prov = entry.provenance if isinstance(entry, InvolutionData) else "explicit"
-                    if len(matrix) != rs.rank:
-                        continue
-                    try:
-                        involutions.append(involution_from_matrix(rs, matrix, prov))
-                    except InvolutionError:
-                        continue
+            involutions = enumerate_cayley_involutions(rs, involution_source)
             subsets = [
                 frozenset(c)
                 for size in range(rank + 1)

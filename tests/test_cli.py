@@ -315,8 +315,21 @@ sys.exit(cli.main({list(GOLDEN_ARGS) + ["--oracle"]!r}))
 """
 
 
-@pytest.mark.parametrize("script", [_TRUNCATED_SURVEY, _WRONG_MINIMALITY],
-                         ids=["survey-truncated-chain", "analyze-wrong-minimality"])
+_OPEN_PARABOLIC = """
+import sys
+from crflag import parabolic
+from crflag.roots import InvariantViolation, build_root_system
+parabolic.check_root_set_closed = lambda rs, root_set: False
+try:
+    parabolic.parabolic_from_subset(build_root_system("B", 3), {1, 3})
+except InvariantViolation:
+    sys.exit(3)
+"""
+
+
+@pytest.mark.parametrize("script", [_TRUNCATED_SURVEY, _WRONG_MINIMALITY, _OPEN_PARABOLIC],
+                         ids=["survey-truncated-chain", "analyze-wrong-minimality",
+                              "parabolic-not-closed"])
 def test_oracle_mismatch_is_caught_under_python_O(script):
     proc = _python("-O", "-c", script, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
     out, err = proc.communicate(timeout=300)

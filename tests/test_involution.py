@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from crflag.involution import (
@@ -38,6 +40,13 @@ def test_from_matrix_rejects_non_involutive():
     rs = build_root_system("A", 2)
     with pytest.raises(InvolutionError, match="involutive"):
         involution_from_matrix(rs, ((2, 0), (0, 2)))
+
+
+def test_from_matrix_rejects_non_integer_entries():
+    rs = build_root_system("A", 2)
+    with pytest.raises(InvolutionError, match="0.9, 0.2"):
+        involution_from_matrix(rs, ((0.9, 1), (1, 0.2)))
+    assert involution_from_matrix(rs, ((0.0, 1.0), (1, 0))).matrix == ((0, 1), (1, 0))
 
 
 def test_from_matrix_rejects_non_root_preserving():
@@ -165,6 +174,24 @@ def test_enumeration_counts_by_depth(family, rank, counts):
     assert counts[1] == 1 + len(rs.positive_roots)
     got = [len(enumerate_cayley_involutions(rs, d)) for d in range(4)]
     assert got == counts
+    for d in range(4):
+        expected = [(s.matrix, s.provenance) for s in _brute_force_cayley(rs, d)]
+        assert [(s.matrix, s.provenance) for s in enumerate_cayley_involutions(rs, d)] == expected
+
+
+def _brute_force_cayley(rs, depth):
+    """Every pairwise strongly orthogonal set of at most ``depth`` positive
+    roots, by size and then lexicographically in table order, applied as a
+    sorted Cayley chain; the first set reaching a matrix wins."""
+    found = {}
+    for k in range(depth + 1):
+        for chain in itertools.combinations(rs.positive_roots, k):
+            if all(strongly_orthogonal(rs, a, b) for a, b in itertools.combinations(chain, 2)):
+                sigma = identity_involution(rs)
+                for gamma in chain:
+                    sigma = cayley_update(rs, sigma, gamma)
+                found.setdefault(sigma.matrix, sigma)
+    return list(found.values())
 
 
 def test_g2_orthogonal_pairs_all_give_minus_identity():

@@ -3,14 +3,16 @@ from fractions import Fraction
 import pytest
 
 from crflag.roots import (
+    FAMILIES,
     UnknownRootSystem,
-    add_roots,
     build_root_system,
     format_root,
     highest_root,
+    is_valid_type,
     kappa,
     pairing,
     parse_root,
+    root_sum_table,
 )
 
 # |Phi+| per the closed-form counts: A n(n+1)/2, B/C n^2, D n(n-1),
@@ -167,14 +169,18 @@ def test_pairing_zero_gamma_raises():
         pairing(rs, (1, 0), (0, 0))
 
 
-def test_add_roots_classification():
-    b3 = build_root_system("B", 3)
-    assert add_roots(b3, (0, 1, 1), (0, 0, 1)) == (0, 1, 2)
-    assert add_roots(b3, (1, 1, 1), (-1, -1, -1)) == (0, 0, 0)
-    a2 = build_root_system("A", 2)
-    assert add_roots(a2, (1, 0), (1, 1)) is None
-    with pytest.raises(ValueError):
-        add_roots(a2, (5, 5), (1, 0))
+@pytest.mark.parametrize("family,rank", [("A", 2), ("B", 3), ("G", 2)])
+def test_root_sum_table_lists_exactly_the_root_sums(family, rank):
+    rs = build_root_system(family, rank)
+    table = root_sum_table(rs)
+    assert set(table) == set(rs.roots)
+    for a in rs.roots:
+        for b in rs.roots:
+            s = tuple(x + y for x, y in zip(a, b))
+            if s in rs.root_lookup:
+                assert table[a][b] == s
+            else:
+                assert b not in table[a]
 
 
 def test_highest_roots():
@@ -200,6 +206,25 @@ def test_kappa_linearity():
             if s in rs.root_lookup:
                 for delta in rs.positive_roots:
                     assert kappa(rs, s, delta) == kappa(rs, beta, delta) + kappa(rs, gamma, delta)
+
+
+@pytest.mark.parametrize("family,rank", [
+    (f, r) for f in FAMILIES for r in range(1, 9) if is_valid_type(f, r) and (r <= 4 or f == "E")
+])
+def test_kappa_of_highest_root_is_two(family, rank):
+    rs = build_root_system(family, rank)
+    top = highest_root(rs)
+    assert kappa(rs, top, top) == 2
+
+
+@pytest.mark.parametrize("family,rank,short,value", [
+    ("B", 3, 3, 1), ("C", 3, 1, 1), ("C", 3, 2, 1), ("F", 4, 3, 1), ("F", 4, 4, 1),
+    ("G", 2, 1, Fraction(2, 3)),
+])
+def test_kappa_on_short_simple_roots(family, rank, short, value):
+    rs = build_root_system(family, rank)
+    alpha = rs.simple(short)
+    assert kappa(rs, alpha, alpha) == value
 
 
 def test_reflection_closure():

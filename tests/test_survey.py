@@ -2,8 +2,6 @@ import pytest
 
 from crflag import survey
 from crflag.cralgebra import DEGENERATE, ORBIT_CR, ORBIT_TOTALLY_REAL
-from crflag.involution import identity_involution
-from crflag.roots import build_root_system
 from crflag.survey import (
     SurveyRow,
     TheoremViolation,
@@ -62,14 +60,6 @@ def test_hypersurface_filter():
                       hypersurface_only=True, oracle_max_rank=0)
     assert rows and all(r.cr_codim == 1 for r in rows)
     assert all(not r.oracle_checked for r in rows)
-
-
-def test_explicit_involution_source():
-    rs = build_root_system("A", 2)
-    rows = run_survey(["A"], max_rank=2, involution_source=[identity_involution(rs)],
-                      oracle_max_rank=2)
-    a2_rows = [r for r in rows if r.rank == 2]
-    assert a2_rows and all(r.involution == "identity" for r in a2_rows)
 
 
 def test_hypersurface_theorems_on_small_survey(small_survey):

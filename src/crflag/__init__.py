@@ -48,8 +48,6 @@ from .parabolic import (
     NotMaximal,
     ParabolicData,
     c_of_q,
-    gradation,
-    has_nonresonant_field,
     parabolic_from_subset,
 )
 from .roots import (
@@ -64,6 +62,24 @@ from .roots import (
     pairing,
     parse_root,
 )
-from .survey import SurveyRow, TheoremViolation, highest_coefficient_table, run_survey
+from .survey import SurveyRow, TheoremViolation, run_survey
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    # cralgebra
+    "CRAlgebraData", "DEGENERATE", "FiltrationResult", "GeometryReport", "ORBIT_CR",
+    "ORBIT_OPEN", "ORBIT_TOTALLY_REAL", "analyze", "filtration", "geometry",
+    "holomorphic_degeneracy_witness", "is_minimal", "nondegeneracy_order",
+    # chevalley
+    "ChevalleyAlgebra", "Subspace", "build_chevalley", "cross_check", "jacobi_check",
+    "levi_tensor_kernel", "oracle_filtration", "oracle_minimality", "subspace_from_rootset",
+    # involution
+    "InvolutionData", "InvolutionError", "cayley_update", "enumerate_cayley_involutions",
+    "identity_involution", "involution_from_matrix", "strongly_orthogonal",
+    # parabolic
+    "NotMaximal", "ParabolicData", "c_of_q", "parabolic_from_subset",
+    # roots
+    "InvariantViolation", "Root", "RootSystem", "UnknownRootSystem", "build_root_system",
+    "format_root", "highest_root", "kappa", "pairing", "parse_root",
+    # survey
+    "SurveyRow", "TheoremViolation", "run_survey",
+]

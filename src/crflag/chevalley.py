@@ -101,7 +101,8 @@ def _build_n_table(rs: RootSystem) -> dict[tuple[Root, Root], int]:
             if beta in lookup and lookup[beta] > 0 and order[alpha] < order[beta]:
                 pairs.append((alpha, beta))
         pairs.sort(key=lambda ab: order[ab[0]])
-        assert pairs, "every non-simple positive root is a sum of positive roots"
+        if not pairs:
+            raise InvariantViolation("every non-simple positive root is a sum of positive roots")
         ex_alpha, ex_beta = pairs[0]
         npos[(ex_alpha, ex_beta)] = _string_down(rs, ex_alpha, ex_beta) + 1
         for alpha, beta in pairs[1:]:
@@ -116,12 +117,12 @@ def _build_n_table(rs: RootSystem) -> dict[tuple[Root, Root], int]:
             if d3 in lookup:
                 acc += n_any(_neg(ex_alpha), alpha) * n_any(beta, d3)
             denom = n_any(_neg(ex_alpha), gamma)
-            assert denom != 0
+            if denom == 0:
+                raise InvariantViolation("the extraspecial constant N(-a1, gamma) must not vanish")
             val = -acc / denom
             expect = _string_down(rs, alpha, beta) + 1
-            assert val.denominator == 1 and abs(val) == expect, (
-                "structure constant must be an integer of modulus p+1"
-            )
+            if not (val.denominator == 1 and abs(val) == expect):
+                raise InvariantViolation("structure constant must be an integer of modulus p+1")
             npos[(alpha, beta)] = int(val)
 
     table: dict[tuple[Root, Root], int] = {}
@@ -130,13 +131,15 @@ def _build_n_table(rs: RootSystem) -> dict[tuple[Root, Root], int]:
             s = _add(a, b)
             if s in lookup:
                 val = n_any(a, b)
-                assert val.denominator == 1
+                if val.denominator != 1 or abs(val) != _string_down(rs, a, b) + 1:
+                    raise InvariantViolation(f"N{(a, b)} must be an integer of modulus p+1")
                 n = int(val)
-                assert abs(n) == _string_down(rs, a, b) + 1
                 table[(a, b)] = n
     for (a, b), n in table.items():
-        assert table[(b, a)] == -n
-        assert table[(_neg(a), _neg(b))] == -n
+        if table[(b, a)] != -n:
+            raise InvariantViolation(f"N{(b, a)} must be -N{(a, b)}")
+        if table[(_neg(a), _neg(b))] != -n:
+            raise InvariantViolation(f"N(-a,-b) must be -N(a,b) for {(a, b)}")
     return table
 
 
@@ -223,14 +226,16 @@ def jacobi_check(ca: ChevalleyAlgebra, sample: int | None = None) -> int:
         )
         count = 0
         for t in triples:
-            assert not _jacobi_defect(ca, *t), f"Jacobi fails on {t}"
+            if _jacobi_defect(ca, *t):
+                raise InvariantViolation(f"Jacobi fails on {t}")
             count += 1
         return count
     rng = random.Random(20240 + dim)
     count = 0
     for _ in range(sample):
         i, j, k = rng.sample(range(dim), 3)
-        assert not _jacobi_defect(ca, i, j, k), f"Jacobi fails on {(i, j, k)}"
+        if _jacobi_defect(ca, i, j, k):
+            raise InvariantViolation(f"Jacobi fails on {(i, j, k)}")
         count += 1
     return count
 
@@ -256,13 +261,15 @@ def build_chevalley(rs: RootSystem) -> ChevalleyAlgebra:
         co = []
         for i, c in enumerate(beta):
             val = Fraction(c * rs.form[i][i], kbb)
-            assert val.denominator == 1, "coroots are integral over the coroot basis"
+            if val.denominator != 1:
+                raise InvariantViolation("coroots are integral over the coroot basis")
             co.append(int(val))
         coroot[beta] = tuple(co)
         acts = []
         for i in range(n):
             val = pairing(rs, beta, rs.simple(i + 1))
-            assert isinstance(val, int)
+            if not isinstance(val, int):
+                raise InvariantViolation(f"<{beta}|alpha_{i + 1}> must be an integer")
             acts.append(val)
         h_action[beta] = tuple(acts)
 
@@ -365,7 +372,8 @@ class Subspace:
         return not self.reduce(vec)
 
     def sum_with(self, other: "Subspace") -> "Subspace":
-        assert self.ambient_dim == other.ambient_dim
+        if self.ambient_dim != other.ambient_dim:
+            raise InvariantViolation("subspaces of different ambient spaces")
         return Subspace(self.ambient_dim, list(self.rows) + list(other.rows))
 
     def __eq__(self, other) -> bool:
@@ -478,9 +486,11 @@ def oracle_filtration(ca: ChevalleyAlgebra, q_sub: Subspace, sigma_q: Subspace) 
         nxt = _one_step_kernel(ca, levels[-1], sigma_q)
         if nxt == levels[-1]:
             break
-        assert nxt.dim < levels[-1].dim and nxt <= levels[-1]
+        if not (nxt.dim < levels[-1].dim and nxt <= levels[-1]):
+            raise InvariantViolation("oracle levels must strictly decrease until stationary")
         levels.append(nxt)
-        assert len(levels) <= q_sub.dim + 1
+        if len(levels) > q_sub.dim + 1:
+            raise InvariantViolation("oracle filtration exceeded its theoretical length")
     return levels
 
 
@@ -489,7 +499,8 @@ def levi_tensor_kernel(ca: ChevalleyAlgebra, levels: list[Subspace], sigma_q: Su
     level[k-1] x sigma_q -> ambient / (level[k-1] + sigma_q),
     assembled as one explicit linear map and solved exactly.  Must equal
     level k of the chain (a fixed point at the stationary level)."""
-    assert k >= 1
+    if k < 1:
+        raise InvariantViolation(f"Levi-tensor kernel index {k} must be at least 1")
     base = levels[min(k - 1, len(levels) - 1)]
     denom = base.sum_with(sigma_q)
     basis = base.row_vecs()

@@ -75,6 +75,11 @@ def _parse_matrix(text: str, rank: int, flag: str):
     return tuple(rows)
 
 
+def _check_oracle_rank(rank: int, flag: str) -> None:
+    if rank > 8:
+        raise UsageError(f"{flag}: the Chevalley oracle is bounded at rank 8, got {rank}")
+
+
 def _sorted_roots(rs: RootSystem, roots):
     return sorted(roots, key=lambda r: (rs.root_lookup[r] < 0, abs(rs.root_lookup[r])))
 
@@ -235,6 +240,8 @@ def _sigma_from_args(rs: RootSystem, args) -> InvolutionData:
 
 
 def cmd_analyze(args) -> int:
+    if args.oracle:
+        _check_oracle_rank(args.rank, "--oracle")
     try:
         rs = build_root_system(args.family, args.rank)
     except UnknownRootSystem as exc:
@@ -353,6 +360,13 @@ def cmd_survey(args) -> int:
     for fam in families:
         if fam not in "ABCDEFG" or len(fam) != 1:
             raise UsageError(f"--families: unknown family {fam!r}")
+    if args.max_rank < 1:
+        raise UsageError(f"--max-rank: must be at least 1, got {args.max_rank}")
+    if args.max_cayley_chain < 0:
+        raise UsageError(f"--max-cayley-chain: must be at least 0, got {args.max_cayley_chain}")
+    if args.oracle_max_rank < 0:
+        raise UsageError(f"--oracle-max-rank: must be at least 0, got {args.oracle_max_rank}")
+    _check_oracle_rank(min(args.max_rank, args.oracle_max_rank), "--oracle-max-rank")
     try:
         rows = run_survey(
             families,

@@ -20,7 +20,7 @@ from functools import lru_cache
 
 from .involution import InvolutionData
 from .parabolic import ParabolicData, check_root_set_closed
-from .roots import Root, RootSystem, root_sum_table
+from .roots import InvariantViolation, Root, RootSystem, root_sum_table
 
 ORBIT_OPEN = "open"
 ORBIT_TOTALLY_REAL = "totally_real"
@@ -69,13 +69,18 @@ def analyze(rs: RootSystem, q: ParabolicData, sigma: InvolutionData) -> CRAlgebr
     q_infty = q_roots & sigma_q
     gamma_set = frozenset(rs.roots) - q_plus
 
-    assert frozenset(sigma.apply(b) for b in q_infty) == q_infty
-    assert frozenset(sigma.apply(b) for b in q_plus) == q_plus
-    assert check_root_set_closed(rs, q_infty)
-    assert len(q_plus) == 2 * len(q_roots) - len(q_infty)
+    if frozenset(sigma.apply(b) for b in q_infty) != q_infty:
+        raise InvariantViolation("sigma must preserve q^inf")
+    if frozenset(sigma.apply(b) for b in q_plus) != q_plus:
+        raise InvariantViolation("sigma must preserve q + sigma(q)")
+    if not check_root_set_closed(rs, q_infty):
+        raise InvariantViolation("q^inf must be closed under root addition")
+    if len(q_plus) != 2 * len(q_roots) - len(q_infty):
+        raise InvariantViolation("|q + sigma(q)| must be 2|q| - |q^inf|")
     if len(gamma_set) == 1:
         (gamma,) = gamma_set
-        assert sigma.fixes(gamma), "a hypersurface transversal root is sigma-fixed"
+        if not sigma.fixes(gamma):
+            raise InvariantViolation("a hypersurface transversal root must be sigma-fixed")
 
     return CRAlgebraData(
         rs=rs,
@@ -101,7 +106,8 @@ def geometry(cr: CRAlgebraData) -> GeometryReport:
         orbit = ORBIT_TOTALLY_REAL
     else:
         orbit = ORBIT_CR
-    assert dim_m == 2 * cr_dim + cr_codim
+    if dim_m != 2 * cr_dim + cr_codim:
+        raise InvariantViolation("dim M must be 2 CR-dim + CR-codim")
     return GeometryReport(
         dim_Z=dim_z, dimR_M=dim_m, cr_dim=cr_dim, cr_codim=cr_codim, orbit_type=orbit
     )
@@ -131,9 +137,11 @@ def filter_levels(rs: RootSystem, q_roots: frozenset[Root], sigma_q: frozenset[R
         nxt = _next_level(rs, levels[-1], sigma_q)
         if nxt == levels[-1]:
             break
-        assert nxt < levels[-1], "levels must strictly decrease until stationary"
+        if not nxt < levels[-1]:
+            raise InvariantViolation("levels must strictly decrease until stationary")
         levels.append(nxt)
-        assert len(levels) <= cap, "filtration exceeded its theoretical length"
+        if len(levels) > cap:
+            raise InvariantViolation("filtration exceeded its theoretical length")
     return levels
 
 
@@ -142,8 +150,10 @@ def filtration(cr: CRAlgebraData) -> FiltrationResult:
     """Compute the kernel filtration and validate its invariants."""
     levels = filter_levels(cr.rs, cr.q.root_set, cr.sigma_q)
     for level in levels:
-        assert cr.q_infty <= level
-        assert check_root_set_closed(cr.rs, level)
+        if not cr.q_infty <= level:
+            raise InvariantViolation("every level must contain q^inf")
+        if not check_root_set_closed(cr.rs, level):
+            raise InvariantViolation("every level must be closed under root addition")
     stationary = len(levels) - 1
     reached = levels[-1] == cr.q_infty
     order_k = stationary if reached and stationary >= 1 else None
@@ -173,7 +183,8 @@ def nondegeneracy_order(cr: CRAlgebraData):
     if not f.reached_infty:
         return DEGENERATE
     k = f.stationary_index
-    assert 1 <= k <= len(cr.q.root_set) - len(cr.q_infty)
+    if not 1 <= k <= len(cr.q.root_set) - len(cr.q_infty):
+        raise InvariantViolation(f"order {k} must lie in 1..cr_dim")
     return k
 
 
@@ -190,8 +201,10 @@ def holomorphic_degeneracy_witness(cr: CRAlgebraData) -> frozenset[Root] | None:
         return None
     stationary = f.levels[-1]
     witness = cr.q.root_set | frozenset(cr.sigma.apply(b) for b in stationary)
-    assert check_root_set_closed(cr.rs, witness)
-    assert cr.q.root_set < witness <= cr.q_plus
+    if not check_root_set_closed(cr.rs, witness):
+        raise InvariantViolation("the degeneracy witness must be closed under root addition")
+    if not cr.q.root_set < witness <= cr.q_plus:
+        raise InvariantViolation("the witness must lie strictly between q and q + sigma(q)")
     return witness
 
 

@@ -1,17 +1,21 @@
 """Lattice involutions of a root system and partial Cayley transforms.
 
-An involution is stored as an integer matrix acting on root-coefficient
-vectors.  It must square to the identity, permute the roots, and preserve
-the invariant form.  Starting from the identity (the split situation),
-new involutions are produced by Cayley steps: a step at a root gamma
-fixed by the current involution composes with the reflection in gamma,
-sigma' = s_gamma o sigma.  Chains require each new root to be strongly
-orthogonal to all earlier ones; two such steps commute.
+An involution sigma is stored as its images of all roots, computed once
+when it is built; the fast path only ever uses sigma as a map from roots
+to roots.  It must be an involution of the root set that preserves the
+invariant form, and since the roots span the lattice it is then a
+lattice automorphism, whose integer matrix (columns sigma(alpha_j)) is
+kept for printing and deduplication.  Starting from the identity (the
+split situation), new involutions are produced by Cayley steps: a step
+at a root gamma fixed by the current involution composes with the
+reflection in gamma, sigma' = s_gamma o sigma.  Chains require each new
+root to be strongly orthogonal to all earlier ones; two such steps
+commute.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .roots import InvariantViolation, Root, RootSystem, pairing
 
@@ -23,63 +27,52 @@ class InvolutionError(ValueError):
     precondition does not hold; the message names the failure."""
 
 
-def _identity(n: int) -> Matrix:
-    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-
-
-def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    n = len(a)
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
-        for i in range(n)
-    )
-
-
-def _mat_vec(m: Matrix, v: Root) -> Root:
-    return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in m)
-
-
 @dataclass(frozen=True)
 class InvolutionData:
     """A validated root-lattice involution.
 
+    ``images`` maps every root beta to sigma(beta); ``matrix`` is the same
+    map on root coordinates, its columns the images of the simple roots.
     ``provenance`` is "identity", "explicit", or the tuple of Cayley roots
-    applied left to right starting from the identity.
+    applied left to right starting from the identity.  Equality and hash
+    use ``matrix`` and ``provenance`` only.
     """
 
     matrix: Matrix
     provenance: str | tuple[Root, ...]
+    images: dict[Root, Root] = field(compare=False, repr=False)
 
     def apply(self, root: Root) -> Root:
-        return _mat_vec(self.matrix, root)
+        """sigma(root); sigma is defined on roots only."""
+        return self.images[root]
 
     def fixes(self, root: Root) -> bool:
-        return self.apply(root) == root
+        return self.images[root] == root
 
 
-def _validate(rs: RootSystem, m: Matrix) -> None:
-    n = rs.rank
-    if len(m) != n or any(len(row) != n for row in m):
-        raise InvolutionError(f"matrix must be {n}x{n}")
-    if _mat_mul(m, m) != _identity(n):
-        raise InvolutionError("matrix is not involutive (M*M != id)")
-    for beta in rs.positive_roots:
-        if _mat_vec(m, beta) not in rs.root_lookup:
-            raise InvolutionError(
-                f"matrix does not preserve the root set (image of {beta} is not a root)"
-            )
-    # kappa-preservation as the matrix identity M^T F M = F: the images of
-    # the simple roots (the columns of M) keep their inner products; the
-    # roots span the lattice, so this is kappa-preservation on all roots.
-    cols = list(zip(*m))
-    for i in range(n):
-        for j in range(n):
-            if rs.inner(cols[i], cols[j]) != rs.form[i][j]:
-                raise InvolutionError("matrix does not preserve the invariant form")
+def _involution(rs: RootSystem, images: dict[Root, Root], provenance) -> InvolutionData:
+    """The one constructor: check that ``images`` maps roots to roots,
+    squares to the identity and keeps the inner products of the simple
+    roots, then read off the matrix."""
+    lookup = rs.root_lookup
+    for beta in rs.roots:
+        image = images[beta]
+        if image not in lookup:
+            raise InvolutionError(f"the root set is not preserved (image of {beta} is not a root)")
+        if images[image] != beta:
+            raise InvolutionError(f"the map is not involutive (sigma(sigma({beta})) != {beta})")
+    # kappa-preservation on the simple roots is kappa-preservation on the
+    # lattice they span
+    cols = [images[rs.simple(j + 1)] for j in range(rs.rank)]
+    for i, ci in enumerate(cols):
+        for j, cj in enumerate(cols):
+            if rs.inner(ci, cj) != rs.form[i][j]:
+                raise InvolutionError("the invariant form is not preserved")
+    return InvolutionData(matrix=tuple(zip(*cols)), provenance=provenance, images=images)
 
 
 def identity_involution(rs: RootSystem) -> InvolutionData:
-    return InvolutionData(matrix=_identity(rs.rank), provenance="identity")
+    return _involution(rs, {beta: beta for beta in rs.roots}, "identity")
 
 
 def involution_from_matrix(rs: RootSystem, matrix, provenance="explicit") -> InvolutionData:
@@ -87,34 +80,29 @@ def involution_from_matrix(rs: RootSystem, matrix, provenance="explicit") -> Inv
     bad = [x for row in matrix for x in row if int(x) != x]
     if bad:
         raise InvolutionError(f"matrix entries {', '.join(map(repr, bad))} are not integers")
-    m = tuple(tuple(int(x) for x in row) for row in matrix)
-    _validate(rs, m)
-    return InvolutionData(matrix=m, provenance=provenance)
+    n = rs.rank
+    if len(matrix) != n or any(len(row) != n for row in matrix):
+        raise InvolutionError(f"matrix must be {n}x{n}")
+    cols = [tuple(int(row[j]) for row in matrix) for j in range(n)]
 
+    def image(v) -> Root:
+        # sigma(v) = sum_j v_j sigma(alpha_j)
+        return tuple(sum(c * col[i] for c, col in zip(v, cols) if c) for i in range(n))
 
-def reflection_matrix(rs: RootSystem, gamma: Root) -> Matrix:
-    """Matrix of the reflection s_gamma on root coordinates."""
-    if gamma not in rs.root_lookup:
-        raise InvolutionError(f"{gamma} is not a root")
-    cols = []
-    for j in range(rs.rank):
-        e = tuple(int(k == j) for k in range(rs.rank))
-        c = pairing(rs, e, gamma)
-        if not isinstance(c, int):
-            raise InvariantViolation(f"<alpha_{j + 1}|{gamma}> must be an integer")
-        cols.append(tuple(int(i == j) - c * gamma[i] for i in range(rs.rank)))
-    return tuple(tuple(cols[j][i] for j in range(rs.rank)) for i in range(rs.rank))
+    if any(image(cols[j]) != rs.simple(j + 1) for j in range(n)):
+        raise InvolutionError("matrix is not involutive (M*M != id)")
+    return _involution(rs, {beta: image(beta) for beta in rs.roots}, provenance)
 
 
 def cayley_update(rs: RootSystem, sigma: InvolutionData, gamma: Root) -> InvolutionData:
     """One partial Cayley step at a root gamma fixed by sigma up to sign.
 
     The lattice identification makes the step the pure map
-    beta -> sigma(beta) - <beta|gamma> gamma, i.e. sigma' = s_gamma o sigma.
-    sigma(gamma) = +-gamma is exactly the condition for sigma' to be an
-    involution again (reflections in gamma and -gamma coincide, so a
-    second step at the same root undoes the first).  The result is
-    re-validated against all involution invariants.
+    beta -> sigma(beta) - <sigma(beta)|gamma> gamma, i.e.
+    sigma' = s_gamma o sigma.  sigma(gamma) = +-gamma is exactly the
+    condition for sigma' to be an involution again (reflections in gamma
+    and -gamma coincide, so a second step at the same root undoes the
+    first).  The result is re-validated against all involution invariants.
     """
     if gamma not in rs.root_lookup:
         raise InvolutionError(f"Cayley root {gamma} is not a root")
@@ -122,15 +110,17 @@ def cayley_update(rs: RootSystem, sigma: InvolutionData, gamma: Root) -> Involut
         raise InvolutionError(
             f"Cayley root {gamma} is not fixed (up to sign) by the current involution"
         )
-    new = _mat_mul(reflection_matrix(rs, gamma), sigma.matrix)
-    _validate(rs, new)
+    images = {}
+    for beta, s in sigma.images.items():
+        c = pairing(rs, s, gamma)
+        images[beta] = tuple(b - c * g for b, g in zip(s, gamma)) if c else s
     if sigma.provenance == "identity":
         prov: str | tuple[Root, ...] = (gamma,)
     elif isinstance(sigma.provenance, tuple):
         prov = sigma.provenance + (gamma,)
     else:
         prov = "explicit"
-    return InvolutionData(matrix=new, provenance=prov)
+    return _involution(rs, images, prov)
 
 
 def strongly_orthogonal(rs: RootSystem, gamma1: Root, gamma2: Root) -> bool:

@@ -72,37 +72,3 @@ def c_of_q(rs: RootSystem, p: ParabolicData) -> int:
     if c != highest_root(rs)[qi]:
         raise InvariantViolation("c(q) must be the highest root's coefficient")
     return c
-
-
-def gradation(rs: RootSystem, p: ParabolicData) -> dict[int, frozenset[Root]]:
-    """Partition of Phi by the removed-index coefficient, j in [-c, c].
-
-    The j = 0 part is the root set of the reductive part of the parabolic;
-    the union of the parts with j <= 0 is the parabolic root set.
-    """
-    if not p.is_maximal:
-        raise NotMaximal("the gradation needs a maximal parabolic")
-    qi = p.removed_index - 1
-    c = c_of_q(rs, p)
-    parts = {j: set() for j in range(-c, c + 1)}
-    for beta in rs.roots:
-        parts[beta[qi]].add(beta)
-    out = {j: frozenset(s) for j, s in parts.items()}
-    if frozenset().union(*(out[j] for j in range(-c, 1))) != p.root_set:
-        raise InvariantViolation("the parts j <= 0 must make up the parabolic")
-    return out
-
-
-def has_nonresonant_field(rs: RootSystem, p: ParabolicData) -> bool:
-    """True iff no two roots outside the parabolic sum to a root outside it.
-
-    For a maximal parabolic this is equivalent to c(q) = 1, the Hermitian
-    case.  Vacuously true when the complement is empty.
-    """
-    complement = set(rs.roots) - p.root_set
-    sums = root_sum_table(rs)
-    for a in complement:
-        for b, s in sums[a].items():
-            if b in complement and s in complement:
-                return False
-    return True

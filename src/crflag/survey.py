@@ -27,7 +27,7 @@ from .cralgebra import (
 )
 from .involution import InvolutionData, enumerate_cayley_involutions
 from .parabolic import c_of_q, parabolic_from_subset
-from .roots import FAMILIES, build_root_system, format_root, highest_root, is_valid_type
+from .roots import FAMILIES, build_root_system, format_root, is_valid_type
 
 
 class TheoremViolation(Exception):
@@ -156,17 +156,3 @@ def _survey_case(rs, q, cq, sigma, hypersurface_only, oracle_max_rank, seen):
         minimal=minimal,
         oracle_checked=oracle_checked,
     )
-
-
-def highest_coefficient_table(max_classical_rank: int = 8) -> dict[tuple[str, int], int]:
-    """Largest coefficient of the highest root, per type: classical families
-    at every rank up to the given bound, exceptional types at all ranks."""
-    table: dict[tuple[str, int], int] = {}
-    for family in FAMILIES:
-        cap = max_classical_rank if family in ("A", "B", "C", "D") else 8
-        for rank in range(1, cap + 1):
-            if not is_valid_type(family, rank):
-                continue
-            rs = build_root_system(family, rank)
-            table[(family, rank)] = max(highest_root(rs))
-    return table

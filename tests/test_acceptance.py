@@ -26,8 +26,8 @@ from crflag.involution import (
     strongly_orthogonal,
 )
 from crflag.parabolic import check_root_set_closed, parabolic_from_subset
-from crflag.roots import build_root_system, is_valid_type, parse_root
-from crflag.survey import highest_coefficient_table, run_survey
+from crflag.roots import build_root_system, highest_root, is_valid_type, parse_root
+from crflag.survey import run_survey
 
 DEFAULT_FAMILIES = ["A", "B", "C", "D", "G"]
 RANK4_SYSTEMS = [
@@ -137,7 +137,13 @@ def test_criterion_4_maximal_parabolic_theorem(default_survey):
 
 def test_criterion_5_highest_coefficient_table():
     def body():
-        table = highest_coefficient_table(max_classical_rank=8)
+        # the largest coefficient of the highest root, per type up to rank 8
+        table = {
+            (family, rank): max(highest_root(build_root_system(family, rank)))
+            for family in "ABCDEFG"
+            for rank in range(1, 9)
+            if is_valid_type(family, rank)
+        }
         for (family, rank), value in table.items():
             if family == "A":
                 assert value == 1

@@ -262,6 +262,40 @@ def test_survey_unknown_family_exits_two(capsys):
     assert code == 2 and "--families" in err
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("--max-rank", "-3"), "--max-rank"),
+        (("--max-rank", "0"), "--max-rank"),
+        (("--max-rank", "3", "--max-cayley-chain", "-1"), "--max-cayley-chain"),
+        (("--max-rank", "3", "--oracle-max-rank", "-1"), "--oracle-max-rank"),
+        (("--max-rank", "9", "--oracle-max-rank", "9"), "--oracle-max-rank"),
+    ],
+)
+def test_survey_edge_values_exit_two(capsys, monkeypatch, argv, flag):
+    # rejected before any case is swept
+    monkeypatch.setattr(cli, "run_survey", None)
+    code, out, err = run_cli(capsys, "survey", "--families", "A", *argv)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {flag}:")
+
+
+def test_survey_oracle_rank_above_eight_is_fine_below_max_rank(capsys):
+    code, out, _ = run_cli(
+        capsys, "survey", "--families", "A", "--max-rank", "2", "--oracle-max-rank", "9",
+    )
+    assert code == 0 and "rows: 20" in out
+
+
+def test_analyze_oracle_above_rank_eight_exits_two(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "build_report", None)
+    code, out, err = run_cli(
+        capsys, "analyze", "--family", "A", "--rank", "9", "--split", "--oracle",
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error: --oracle:")
+
+
 def test_survey_theorem_violation_exits_one(capsys, monkeypatch):
     def boom(*args, **kwargs):
         from crflag.survey import TheoremViolation

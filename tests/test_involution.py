@@ -4,14 +4,14 @@ import pytest
 
 from crflag.involution import (
     InvolutionError,
+    _involution,
     cayley_update,
     enumerate_cayley_involutions,
     identity_involution,
     involution_from_matrix,
-    reflection_matrix,
     strongly_orthogonal,
 )
-from crflag.roots import build_root_system, kappa
+from crflag.roots import build_root_system, kappa, pairing
 
 
 def test_identity():
@@ -59,6 +59,17 @@ def test_from_matrix_rejects_non_root_preserving():
         involution_from_matrix(b2, ((0, 1), (1, 0)))
 
 
+def test_constructor_rejects_form_breaking_permutation():
+    # swapping the long and the short simple root of B2 (and their
+    # negatives) is an involution of the root set, but not an isometry
+    rs = build_root_system("B", 2)
+    images = {beta: beta for beta in rs.roots}
+    for a, b in (((1, 0), (0, 1)), ((-1, 0), (0, -1))):
+        images[a], images[b] = b, a
+    with pytest.raises(InvolutionError, match="invariant form"):
+        _involution(rs, images, "explicit")
+
+
 def test_minus_identity_valid():
     rs = build_root_system("B", 3)
     neg = involution_from_matrix(rs, tuple(tuple(-int(i == j) for j in range(3)) for i in range(3)))
@@ -100,7 +111,9 @@ def test_cayley_equals_reflection_composition():
     sid = identity_involution(rs)
     for gamma in rs.positive_roots:
         updated = cayley_update(rs, sid, gamma)
-        assert updated.matrix == reflection_matrix(rs, gamma)
+        for beta in rs.roots:
+            c = pairing(rs, beta, gamma)
+            assert updated.apply(beta) == tuple(b - c * g for b, g in zip(beta, gamma))
 
 
 def test_strongly_orthogonal():

@@ -4,11 +4,9 @@ from crflag.parabolic import (
     NotMaximal,
     c_of_q,
     check_root_set_closed,
-    gradation,
-    has_nonresonant_field,
     parabolic_from_subset,
 )
-from crflag.roots import build_root_system, highest_root, parse_root
+from crflag.roots import build_root_system, highest_root, parse_root, root_sum_table
 
 
 def _roots(rank, *strings):
@@ -70,39 +68,7 @@ def test_c_of_q_rejects_non_maximal():
     with pytest.raises(NotMaximal):
         c_of_q(rs, parabolic_from_subset(rs, {1}))
     with pytest.raises(NotMaximal):
-        gradation(rs, parabolic_from_subset(rs, set()))
-
-
-def test_gradation_b3():
-    rs = build_root_system("B", 3)
-    p = parabolic_from_subset(rs, {1, 3})
-    parts = gradation(rs, p)
-    # graded by the alpha_2 coefficient of each root
-    assert parts[-2] == _roots(3, "-122")
-    assert parts[-1] == _roots(3, "-010", "-110", "-011", "-111", "-112", "-012")
-    assert parts[0] == _roots(3, "100", "-100", "001", "-001")
-    assert parts[2] == _roots(3, "122")
-    assert parts.get(3, frozenset()) == frozenset()
-    assert parts.get(-5, frozenset()) == frozenset()
-
-
-def test_gradation_partitions_phi():
-    for family, rank in (("B", 3), ("C", 3), ("A", 3)):
-        rs = build_root_system(family, rank)
-        for removed in range(1, rank + 1):
-            p = parabolic_from_subset(rs, set(range(1, rank + 1)) - {removed})
-            parts = gradation(rs, p)
-            c = c_of_q(rs, p)
-            assert set(parts) == set(range(-c, c + 1))
-            union = set()
-            total = 0
-            for part in parts.values():
-                assert union.isdisjoint(part)
-                union |= part
-                total += len(part)
-            assert union == set(rs.roots) and total == len(rs.roots)
-            assert frozenset().union(*(parts[j] for j in range(-c, 1))) == p.root_set
-            assert max(j for j, part in parts.items() if part) == c
+        c_of_q(rs, parabolic_from_subset(rs, set()))
 
 
 def test_c_of_q_equals_highest_root_coefficient():
@@ -112,6 +78,16 @@ def test_c_of_q_equals_highest_root_coefficient():
         for removed in range(1, rank + 1):
             p = parabolic_from_subset(rs, set(range(1, rank + 1)) - {removed})
             assert c_of_q(rs, p) == top[removed - 1]
+
+
+def has_nonresonant_field(rs, p):
+    """True iff no two roots outside the parabolic sum to a root outside it
+    (vacuously true when the complement is empty)."""
+    complement = set(rs.roots) - p.root_set
+    sums = root_sum_table(rs)
+    return not any(
+        b in complement and s in complement for a in complement for b, s in sums[a].items()
+    )
 
 
 def test_nonresonant_field():
@@ -127,7 +103,10 @@ def test_nonresonant_field():
 
 
 def test_nonresonant_iff_c_equals_one():
-    for family, rank in (("B", 3), ("C", 3), ("D", 4), ("A", 4), ("G", 2)):
+    # every maximal parabolic: nonresonance is the Hermitian case c(q) = 1
+    systems = [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("C", 3), ("D", 4),
+               ("G", 2)]
+    for family, rank in systems:
         rs = build_root_system(family, rank)
         for removed in range(1, rank + 1):
             p = parabolic_from_subset(rs, set(range(1, rank + 1)) - {removed})

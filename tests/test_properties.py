@@ -21,12 +21,7 @@ from crflag.involution import (
     involution_from_matrix,
     strongly_orthogonal,
 )
-from crflag.parabolic import (
-    c_of_q,
-    check_root_set_closed,
-    has_nonresonant_field,
-    parabolic_from_subset,
-)
+from crflag.parabolic import check_root_set_closed, parabolic_from_subset
 from crflag.roots import build_root_system, kappa, pairing
 
 SYSTEMS = [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("B", 3), ("C", 3), ("G", 2)]
@@ -53,21 +48,14 @@ def test_parabolic_root_sets_bracket_closed(case):
     assert check_root_set_closed(rs, q.root_set)
 
 
-@settings(max_examples=100, deadline=None, derandomize=True)
-@given(system_st, st.integers(min_value=0, max_value=7))
-def test_nonresonance_iff_hermitian(key, seed):
-    rs = _RS[key]
-    removed = seed % rs.rank + 1
-    q = parabolic_from_subset(rs, set(range(1, rs.rank + 1)) - {removed})
-    assert has_nonresonant_field(rs, q) == (c_of_q(rs, q) == 1)
-
-
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(system_st, st.data())
 def test_cayley_involutions_validate(key, data):
     rs = _RS[key]
     sigma = data.draw(st.sampled_from(_INVS[key]))
-    involution_from_matrix(rs, sigma.matrix)  # raises on any broken invariant
+    # the matrix route raises on any broken invariant and agrees with the
+    # Cayley route on every root
+    assert involution_from_matrix(rs, sigma.matrix).images == sigma.images
     fixed = sum(1 for beta in rs.roots if sigma.fixes(beta))
     moved = len(rs.roots) - fixed
     assert moved % 2 == 0  # moved roots come in sigma-orbits of size two

@@ -2,12 +2,8 @@ import pytest
 
 from crflag import survey
 from crflag.cralgebra import DEGENERATE, ORBIT_CR, ORBIT_TOTALLY_REAL
-from crflag.survey import (
-    SurveyRow,
-    TheoremViolation,
-    highest_coefficient_table,
-    run_survey,
-)
+from crflag.roots import build_root_system, highest_root, is_valid_type
+from crflag.survey import SurveyRow, TheoremViolation, run_survey
 
 
 @pytest.fixture(scope="module")
@@ -106,13 +102,18 @@ def test_theorem_violation_reproducer():
 
 
 def test_highest_coefficient_table():
-    table = highest_coefficient_table()
+    table = {
+        (family, rank): max(highest_root(build_root_system(family, rank)))
+        for family in "ABCDEFG"
+        for rank in range(1, 9)
+        if is_valid_type(family, rank)
+    }
     for rank in range(1, 9):
         assert table[("A", rank)] == 1
     for family in ("B", "C", "D"):
         for (fam, rank), value in table.items():
             if fam == family:
-                assert value <= 2
+                assert value == 2
     assert table[("G", 2)] == 3
     assert table[("F", 4)] == 4
     assert table[("E", 6)] == 3

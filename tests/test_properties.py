@@ -21,8 +21,8 @@ from crflag.involution import (
     involution_from_matrix,
     strongly_orthogonal,
 )
-from crflag.parabolic import check_root_set_closed, parabolic_from_subset
-from crflag.roots import build_root_system, kappa, pairing
+from crflag.parabolic import c_of_q, check_root_set_closed, parabolic_from_subset
+from crflag.roots import build_root_system, kappa, pairing, root_sum_table
 
 SYSTEMS = [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("B", 3), ("C", 3), ("G", 2)]
 _RS = {key: build_root_system(*key) for key in SYSTEMS}
@@ -46,6 +46,24 @@ def cases(draw):
 def test_parabolic_root_sets_bracket_closed(case):
     rs, q, _ = case
     assert check_root_set_closed(rs, q.root_set)
+
+
+def _nonresonant(rs, q):
+    """No two roots outside q sum to a root outside q."""
+    complement = set(rs.roots) - q.root_set
+    sums = root_sum_table(rs)
+    return not any(
+        b in complement and s in complement for a in complement for b, s in sums[a].items()
+    )
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(system_st, st.integers(min_value=0, max_value=7))
+def test_nonresonance_iff_hermitian(key, seed):
+    rs = _RS[key]
+    removed = seed % rs.rank + 1
+    q = parabolic_from_subset(rs, set(range(1, rs.rank + 1)) - {removed})
+    assert _nonresonant(rs, q) == (c_of_q(rs, q) == 1)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)

@@ -34,25 +34,13 @@ Vec = dict[int, int]
 # structure constants
 
 
-def _neg(r: Root) -> Root:
-    return tuple(-c for c in r)
-
-
-def _add(a: Root, b: Root) -> Root:
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def _sub(a: Root, b: Root) -> Root:
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def _string_down(rs: RootSystem, alpha: Root, beta: Root) -> int:
-    """p = max k with beta - k*alpha a root."""
+def _string_down(root_of: dict[int, Root], alpha: int, beta: int) -> int:
+    """p = max k with beta - k*alpha a root, on root codes."""
     p = 0
-    v = _sub(beta, alpha)
-    while v in rs.root_lookup:
+    v = beta - alpha
+    while v in root_of:
         p += 1
-        v = _sub(v, alpha)
+        v -= alpha
     return p
 
 
@@ -64,83 +52,83 @@ def _build_n_table(rs: RootSystem) -> dict[tuple[Root, Root], int]:
     solved from a Jacobi relation against the extraspecial pair.  Mixed and
     negative pairs follow from N(-a,-b) = -N(a,b) and the sum-zero cycle
     N(a,b)/kappa(c,c) = N(b,c)/kappa(a,a) for a+b+c = 0.
+
+    Roots are handled by their integer codes (``rs.root_code``: sums and
+    negatives are integer sums and negatives, and a root is positive iff
+    its code is), and kappa(a,a) is computed once per root; the keys of
+    the returned table are the root tuples of ``rs``.
     """
-    order = {r: i for i, r in enumerate(rs.positive_roots)}
-    lookup = rs.root_lookup
-    npos: dict[tuple[Root, Root], int] = {}
+    root_of = {c: r for r, c in rs.root_code.items()}
+    order = {rs.root_code[r]: i for i, r in enumerate(rs.positive_roots)}
+    length = {c: kappa(rs, r, r) for c, r in root_of.items()}
+    npos: dict[tuple[int, int], int] = {}
 
-    def kk(a: Root) -> Fraction:
-        return kappa(rs, a, a)
-
-    def n_any(x: Root, y: Root) -> Fraction:
-        xp = lookup[x] > 0
-        yp = lookup[y] > 0
-        if xp and yp:
+    def n_any(x: int, y: int) -> Fraction:
+        if x > 0 and y > 0:
             if order[x] < order[y]:
                 return Fraction(npos[(x, y)])
             return Fraction(-npos[(y, x)])
-        if not xp and not yp:
-            return -n_any(_neg(x), _neg(y))
-        if not xp:
+        if x < 0 and y < 0:
+            return -n_any(-x, -y)
+        if x < 0:
             return -n_any(y, x)
         # x positive, y negative, x+y a root
-        z = _neg(_add(x, y))
-        if lookup[z] > 0:
-            return kk(z) / kk(y) * n_any(z, x)
-        return kk(z) / kk(x) * n_any(y, z)
+        z = -(x + y)
+        if z > 0:
+            return length[z] / length[y] * n_any(z, x)
+        return length[z] / length[x] * n_any(y, z)
 
-    by_height = sorted(rs.positive_roots, key=lambda r: (sum(r), r))
-    for gamma in by_height:
-        if sum(gamma) < 2:
-            continue
+    by_height = [rs.root_code[r] for r in sorted(rs.positive_roots, key=lambda r: (sum(r), r))]
+    # the first rank roots by height are the simple roots
+    for gamma in by_height[rs.rank:]:
         pairs = []
         for alpha in by_height:
             if order[alpha] >= order[gamma]:
                 break
-            beta = _sub(gamma, alpha)
-            if beta in lookup and lookup[beta] > 0 and order[alpha] < order[beta]:
+            beta = gamma - alpha
+            if beta in order and order[alpha] < order[beta]:
                 pairs.append((alpha, beta))
         pairs.sort(key=lambda ab: order[ab[0]])
         if not pairs:
             raise InvariantViolation("every non-simple positive root is a sum of positive roots")
         ex_alpha, ex_beta = pairs[0]
-        npos[(ex_alpha, ex_beta)] = _string_down(rs, ex_alpha, ex_beta) + 1
+        npos[(ex_alpha, ex_beta)] = _string_down(root_of, ex_alpha, ex_beta) + 1
         for alpha, beta in pairs[1:]:
             # Jacobi on (x_{-a1}, x_alpha, x_beta) with (a1, b1) extraspecial:
             # N(alpha,beta) N(-a1,gamma) = -(N(beta,-a1) N(alpha,beta-a1)
             #                               + N(-a1,alpha) N(beta,alpha-a1))
             acc = Fraction(0)
-            d2 = _sub(beta, ex_alpha)
-            if d2 in lookup:
-                acc += n_any(beta, _neg(ex_alpha)) * n_any(alpha, d2)
-            d3 = _sub(alpha, ex_alpha)
-            if d3 in lookup:
-                acc += n_any(_neg(ex_alpha), alpha) * n_any(beta, d3)
-            denom = n_any(_neg(ex_alpha), gamma)
+            d2 = beta - ex_alpha
+            if d2 in root_of:
+                acc += n_any(beta, -ex_alpha) * n_any(alpha, d2)
+            d3 = alpha - ex_alpha
+            if d3 in root_of:
+                acc += n_any(-ex_alpha, alpha) * n_any(beta, d3)
+            denom = n_any(-ex_alpha, gamma)
             if denom == 0:
                 raise InvariantViolation("the extraspecial constant N(-a1, gamma) must not vanish")
             val = -acc / denom
-            expect = _string_down(rs, alpha, beta) + 1
+            expect = _string_down(root_of, alpha, beta) + 1
             if not (val.denominator == 1 and abs(val) == expect):
                 raise InvariantViolation("structure constant must be an integer of modulus p+1")
             npos[(alpha, beta)] = int(val)
 
-    table: dict[tuple[Root, Root], int] = {}
-    for a in rs.roots:
-        for b in rs.roots:
-            s = _add(a, b)
-            if s in lookup:
+    table: dict[tuple[int, int], int] = {}
+    for a in root_of:
+        for b in root_of:
+            if a + b in root_of:
                 val = n_any(a, b)
-                if val.denominator != 1 or abs(val) != _string_down(rs, a, b) + 1:
-                    raise InvariantViolation(f"N{(a, b)} must be an integer of modulus p+1")
-                n = int(val)
-                table[(a, b)] = n
+                if val.denominator != 1 or abs(val) != _string_down(root_of, a, b) + 1:
+                    raise InvariantViolation(
+                        f"N{(root_of[a], root_of[b])} must be an integer of modulus p+1"
+                    )
+                table[(a, b)] = int(val)
     for (a, b), n in table.items():
         if table[(b, a)] != -n:
-            raise InvariantViolation(f"N{(b, a)} must be -N{(a, b)}")
-        if table[(_neg(a), _neg(b))] != -n:
-            raise InvariantViolation(f"N(-a,-b) must be -N(a,b) for {(a, b)}")
-    return table
+            raise InvariantViolation(f"N(b,a) must be -N(a,b) for {(root_of[a], root_of[b])}")
+        if table[(-a, -b)] != -n:
+            raise InvariantViolation(f"N(-a,-b) must be -N(a,b) for {(root_of[a], root_of[b])}")
+    return {(root_of[a], root_of[b]): n for (a, b), n in table.items()}
 
 
 @dataclass(frozen=True, eq=False)
@@ -154,6 +142,7 @@ class ChevalleyAlgebra:
     rs: RootSystem
     dim: int
     root_index: dict[Root, int]          # root -> basis coordinate
+    code_index: dict[int, int]           # root code -> basis coordinate
     basis_root: dict[int, Root]          # basis coordinate -> root
     n_table: dict[tuple[Root, Root], int]
     coroot: dict[Root, tuple[int, ...]]
@@ -176,11 +165,11 @@ class ChevalleyAlgebra:
         else:
             a = self.basis_root[i]
             b = self.basis_root[j]
-            s = _add(a, b)
-            if not any(s):
+            s = self.rs.root_code[a] + self.rs.root_code[b]
+            if s == 0:
                 out = {k: c for k, c in enumerate(self.coroot[a]) if c}
-            elif s in self.root_index:
-                out = {self.root_index[s]: self.n_table[(a, b)]}
+            elif s in self.code_index:
+                out = {self.code_index[s]: self.n_table[(a, b)]}
             else:
                 out = {}
         self._unit_cache[(i, j)] = out
@@ -277,6 +266,7 @@ def build_chevalley(rs: RootSystem) -> ChevalleyAlgebra:
         rs=rs,
         dim=n + len(rs.roots),
         root_index=root_index,
+        code_index={rs.root_code[beta]: idx for beta, idx in root_index.items()},
         basis_root=basis_root,
         n_table=n_table,
         coroot=coroot,

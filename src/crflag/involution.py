@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .roots import InvariantViolation, Root, RootSystem, pairing
+from .roots import InvariantViolation, Root, RootSystem
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -110,9 +110,14 @@ def cayley_update(rs: RootSystem, sigma: InvolutionData, gamma: Root) -> Involut
         raise InvolutionError(
             f"Cayley root {gamma} is not fixed (up to sign) by the current involution"
         )
+    # <s|gamma> = 2 kappa(s, gamma) / kappa(gamma, gamma), with the
+    # denominator computed once for the step
+    gg = rs.inner(gamma, gamma)
     images = {}
     for beta, s in sigma.images.items():
-        c = pairing(rs, s, gamma)
+        c, rem = divmod(2 * rs.inner(s, gamma), gg)
+        if rem:
+            raise InvolutionError(f"the pairing <{s}|{gamma}> is not an integer")
         images[beta] = tuple(b - c * g for b, g in zip(s, gamma)) if c else s
     if sigma.provenance == "identity":
         prov: str | tuple[Root, ...] = (gamma,)

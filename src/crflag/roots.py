@@ -9,6 +9,16 @@ stored as the integer Gram matrix of 6 kappa on the simple roots (6
 clears every denominator: short roots have kappa 1, or 2/3 in G2), so
 every inner product is an exact ``int``.  ``kappa`` divides it by 6 as a
 ``Fraction``; the Cartan pairing <beta|gamma> of two roots is an integer.
+
+Each root also has one integer code, code(beta) = sum_i beta_i B^i with
+B = 4 * 6 + 1 = 25.  The code is linear, so code(alpha + beta) =
+code(alpha) + code(beta), and it is injective on vectors whose
+coefficients stay below B / 2 in absolute value.  No root coefficient of
+a simple type exceeds 6 (E8's highest root), so sums of two roots code
+injectively too, and a positive root has a positive code.
+``build_root_system`` raises ``InvariantViolation`` if a root ever has a
+coefficient above 6.  The positive closure, the sum table and the
+Chevalley structure constants add and subtract codes, not tuples.
 """
 
 from __future__ import annotations
@@ -35,6 +45,11 @@ _MAX_RANK = {"E": 8, "F": 4, "G": 2}
 
 FAMILIES = tuple(_MIN_RANK)
 
+# A difference of two sums of two roots has every coefficient at most
+# 4 * _MAX_COEFFICIENT < _CODE_BASE, so distinct sums have distinct codes.
+_MAX_COEFFICIENT = 6
+_CODE_BASE = 4 * _MAX_COEFFICIENT + 1
+
 
 @dataclass(frozen=True, eq=False)
 class RootSystem:
@@ -43,7 +58,8 @@ class RootSystem:
     ``form`` is the integer Gram matrix of 6 kappa on the simple roots.
     ``root_lookup`` maps a coefficient tuple to a signed id: positive
     roots get 1..N in construction order (by height, then lexicographic),
-    their negatives get the negated id.
+    their negatives get the negated id.  ``root_code`` maps every root, in
+    the order of ``roots``, to its integer code (see the module docstring).
     """
 
     family: str
@@ -53,6 +69,7 @@ class RootSystem:
     form: tuple[tuple[int, ...], ...]
     root_lookup: dict[Root, int]
     roots: tuple[Root, ...]
+    root_code: dict[Root, int]
 
     @property
     def zero(self) -> Root:
@@ -134,33 +151,45 @@ def _cartan_and_lengths(family: str, rank: int):
     return tuple(tuple(row) for row in A), tuple(d)
 
 
-def _positive_closure(rank: int, cartan) -> list[Root]:
-    """Generate the positive roots by closing the simple roots upward.
+def _positive_closure(rank: int, cartan) -> dict[Root, int]:
+    """Generate the positive roots by closing the simple roots upward;
+    returns each positive root with its code, by height, then
+    lexicographic.  This is where roots get their codes: alpha_i has code
+    B^i, and every other root is a simple root above a known one.
 
     beta + alpha_i is a root iff the alpha_i-string through beta extends
     upward, i.e. p - <beta|alpha_i> >= 1 where p counts the downward steps
-    and <beta|alpha_i> = sum_j beta_j A[j][i].
+    and <beta|alpha_i> = sum_j beta_j A[j][i].  The string is walked on
+    codes (a step is B^i), and each root carries its pairings with the
+    simple roots, which a step at alpha_i raises by row i of A.
     """
-    simples = [tuple(int(j == i) for j in range(rank)) for i in range(rank)]
-    known: set[Root] = set(simples)
-    positives: list[Root] = sorted(simples)
-    current: list[Root] = positives[:]
+    steps = [_CODE_BASE**i for i in range(rank)]
+    # (root, code, <root|alpha_1> .. <root|alpha_n>)
+    current = sorted(
+        (tuple(int(j == i) for j in range(rank)), steps[i], cartan[i]) for i in range(rank)
+    )
+    positives = {beta: c for beta, c, _ in current}
+    known = set(steps)
     while current:
-        fresh: set[Root] = set()
-        for beta in current:
-            for i in range(rank):
+        fresh: dict[int, tuple[Root, int, tuple[int, ...]]] = {}
+        for beta, c, pairs in current:
+            for i, step in enumerate(steps):
                 p = 0
-                v = tuple(b - int(j == i) for j, b in enumerate(beta))
+                v = c - step
                 while v in known:
                     p += 1
-                    v = tuple(b - int(j == i) for j, b in enumerate(v))
-                if p - sum(b * cartan[j][i] for j, b in enumerate(beta)) >= 1:
-                    s = tuple(b + int(j == i) for j, b in enumerate(beta))
-                    if s not in known:
-                        fresh.add(s)
-        current = sorted(fresh)
+                    v -= step
+                s = c + step
+                if p - pairs[i] >= 1 and s not in known and s not in fresh:
+                    if beta[i] >= _MAX_COEFFICIENT:
+                        raise InvariantViolation(
+                            f"root coefficient above {_MAX_COEFFICIENT} breaks the root codes"
+                        )
+                    new = beta[:i] + (beta[i] + 1,) + beta[i + 1:]
+                    fresh[s] = (new, s, tuple(map(add, pairs, cartan[i])))
+        current = sorted(fresh.values())
         known.update(fresh)
-        positives.extend(current)
+        positives.update((beta, c) for beta, c, _ in current)
     return positives
 
 
@@ -180,11 +209,11 @@ def build_root_system(family: str, rank: int) -> RootSystem:
     if any(form[i][j] != form[j][i] for i in range(rank) for j in range(rank)):
         raise InvariantViolation("kappa must be symmetric")
     positives = _positive_closure(rank, cartan)
+    negatives = {tuple(-c for c in beta): -code for beta, code in positives.items()}
     lookup: dict[Root, int] = {}
-    for idx, beta in enumerate(positives, start=1):
+    for idx, (beta, minus) in enumerate(zip(positives, negatives), start=1):
         lookup[beta] = idx
-        lookup[tuple(-c for c in beta)] = -idx
-    all_roots = tuple(positives) + tuple(tuple(-c for c in beta) for beta in positives)
+        lookup[minus] = -idx
     rs = RootSystem(
         family=family,
         rank=rank,
@@ -192,7 +221,8 @@ def build_root_system(family: str, rank: int) -> RootSystem:
         positive_roots=tuple(positives),
         form=form,
         root_lookup=lookup,
-        roots=all_roots,
+        roots=tuple(positives) + tuple(negatives),
+        root_code=positives | negatives,
     )
     # The highest root must dominate coefficient-wise, which makes it the
     # unique maximal root.
@@ -210,11 +240,15 @@ def kappa(rs: RootSystem, beta: Root, gamma: Root) -> Fraction:
 @lru_cache(maxsize=None)
 def root_sum_table(rs: RootSystem) -> dict[Root, dict[Root, Root]]:
     """Precomputed root sums, per root: alpha -> {beta: alpha+beta} for
-    exactly the beta whose sum with alpha is again a root."""
-    lookup = rs.root_lookup
+    exactly the beta whose sum with alpha is again a root, both in the
+    order of ``rs.roots``.  Sums are looked up by code, so every value is
+    a root tuple of ``rs``, not a new one."""
+    codes = rs.root_code
+    root_of = {c: r for r, c in codes.items()}.get
+    items = list(codes.items())
     return {
-        a: {b: s for b in rs.roots if (s := tuple(map(add, a, b))) in lookup}
-        for a in rs.roots
+        a: {b: s for b, cb in items if (s := root_of(ca + cb)) is not None}
+        for a, ca in items
     }
 
 

@@ -1,5 +1,10 @@
+import ast
+import hashlib
+from pathlib import Path
+
 import pytest
 
+from crflag import chevalley
 from crflag.chevalley import (
     Subspace,
     build_chevalley,
@@ -14,7 +19,7 @@ from crflag.chevalley import (
 from crflag.cralgebra import analyze, filtration, is_minimal
 from crflag.involution import cayley_update, identity_involution, involution_from_matrix
 from crflag.parabolic import parabolic_from_subset
-from crflag.roots import build_root_system
+from crflag.roots import build_root_system, kappa
 
 
 @pytest.fixture(scope="module")
@@ -74,6 +79,54 @@ def test_n_table_chevalley_integrality():
                 p += 1
                 v = tuple(x - y for x, y in zip(v, a))
             assert abs(n) == p + 1
+
+
+# sha256 of repr(sorted(_build_n_table(rs).items())), first 16 hex digits,
+# recorded when the table was built on root tuples and Fraction lengths
+# per pair: the constants must not change with the arithmetic.
+N_TABLE_DIGESTS = {
+    ("B", 3): "2527a053eff24b41",
+    ("C", 3): "68e4540d1bf4bfdf",
+    ("G", 2): "3cda9ce9f13bae82",
+    ("F", 4): "dbe5ef284e3122b6",
+    ("E", 6): "44ea2dfd15890448",
+}
+
+
+@pytest.mark.parametrize("family,rank", sorted(N_TABLE_DIGESTS))
+def test_structure_constants_pinned(family, rank):
+    table = chevalley._build_n_table(build_root_system(family, rank))
+    digest = hashlib.sha256(repr(sorted(table.items())).encode()).hexdigest()[:16]
+    assert digest == N_TABLE_DIGESTS[(family, rank)]
+
+
+def test_n_table_computes_each_root_length_once(monkeypatch):
+    rs = build_root_system("F", 4)
+    calls = []
+
+    def counting_kappa(rs_, beta, gamma):
+        calls.append((beta, gamma))
+        return kappa(rs_, beta, gamma)
+
+    monkeypatch.setattr(chevalley, "kappa", counting_kappa)
+    chevalley._build_n_table(rs)
+    assert sorted(calls) == sorted((beta, beta) for beta in rs.roots)
+
+
+def test_oracle_imports_nothing_of_the_fast_path():
+    # the oracle re-derives every answer itself; sharing the fast path's
+    # sum table or root-set code would let one defect pass both routes
+    tree = ast.parse(Path(chevalley.__file__).read_text())
+    fast = {"parabolic", "cralgebra", "survey"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = {alias.name.rsplit(".", 1)[-1] for alias in node.names}
+            assert not names & fast, names
+        elif isinstance(node, ast.ImportFrom):
+            module = (node.module or "").rsplit(".", 1)[-1]
+            imported = {alias.name for alias in node.names}
+            assert module not in fast and not imported & fast, (node.module, imported)
+            assert "root_sum_table" not in imported
 
 
 def test_g2_has_constant_of_modulus_three():

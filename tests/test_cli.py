@@ -380,3 +380,19 @@ def test_closed_stdout_exits_141_without_traceback():
     err = proc.stderr.read()
     assert proc.wait(timeout=300) == 141
     assert err == b""
+
+
+_IMPORT_DOES_NO_WORK = """
+import crflag
+from crflag.chevalley import build_chevalley
+from crflag.roots import build_root_system, root_sum_table
+print([f.cache_info().currsize for f in (build_root_system, root_sum_table, build_chevalley)])
+"""
+
+
+def test_import_precomputes_nothing():
+    # the benchmark's setup_s is the import; tables are built on first use
+    proc = _python("-c", _IMPORT_DOES_NO_WORK, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    out, err = proc.communicate(timeout=60)
+    assert proc.returncode == 0, err
+    assert out.split() == [b"[0,", b"0,", b"0]"]

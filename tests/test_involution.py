@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import pytest
@@ -114,6 +115,14 @@ def test_cayley_equals_reflection_composition():
         for beta in rs.roots:
             c = pairing(rs, beta, gamma)
             assert updated.apply(beta) == tuple(b - c * g for b, g in zip(beta, gamma))
+
+
+def test_cayley_rejects_non_integral_pairing():
+    # a form that no root system has: <alpha_2|alpha_1> = 2 (-1) / 6 is not
+    # an integer, so the step must fail instead of writing fractions
+    rs = dataclasses.replace(build_root_system("A", 2), form=((6, -1), (-1, 6)))
+    with pytest.raises(InvolutionError):
+        cayley_update(rs, identity_involution(rs), (1, 0))
 
 
 def test_strongly_orthogonal():

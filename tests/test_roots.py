@@ -1,9 +1,12 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
 
+from crflag import roots
 from crflag.roots import (
     FAMILIES,
+    InvariantViolation,
     UnknownRootSystem,
     build_root_system,
     format_root,
@@ -169,18 +172,74 @@ def test_pairing_zero_gamma_raises():
         pairing(rs, (1, 0), (0, 0))
 
 
-@pytest.mark.parametrize("family,rank", [("A", 2), ("B", 3), ("G", 2)])
+@pytest.mark.parametrize("family,rank", [
+    ("A", 2), ("B", 3), ("G", 2), ("F", 4), ("E", 6), ("E", 8), ("C", 5), ("D", 6), ("A", 12),
+])
 def test_root_sum_table_lists_exactly_the_root_sums(family, rank):
     rs = build_root_system(family, rank)
     table = root_sum_table(rs)
-    assert set(table) == set(rs.roots)
+    assert list(table) == list(rs.roots)
     for a in rs.roots:
+        expected = {}
         for b in rs.roots:
             s = tuple(x + y for x, y in zip(a, b))
             if s in rs.root_lookup:
-                assert table[a][b] == s
-            else:
-                assert b not in table[a]
+                expected[b] = s
+        assert list(table[a].items()) == list(expected.items())
+
+
+# sha256 of repr(positive_roots), first 16 hex digits, recorded when the
+# closure still built every candidate root as a tuple: the closure on root
+# codes must give the same roots in the same order.
+POSITIVE_ROOT_DIGESTS = {
+    ("A", 1): "8349bb5d2d44e8d6", ("A", 2): "f5e15e52c871b505",
+    ("A", 3): "575bd7985165f040", ("A", 4): "26bbe3cc5b924e23",
+    ("A", 5): "37de9ba7f3b7a511", ("A", 6): "d324616fcf662d95",
+    ("A", 7): "6b7a85e92154e7ed", ("A", 8): "c91dc0b7654d8a57",
+    ("B", 2): "e2533dc20b7324a1", ("B", 3): "3b2c2696380cc0a2",
+    ("B", 4): "a5e867a305f30fdc", ("B", 5): "e87adaf605c8ed59",
+    ("B", 6): "c6df0a2118635f43", ("B", 7): "45dfeb4fb3990773",
+    ("B", 8): "800d0e849d4656d8", ("C", 3): "ecf6013269bb7322",
+    ("C", 4): "2883f8f5e1e705c5", ("C", 5): "a3b4a09702901955",
+    ("C", 6): "03930f7b6e5f9449", ("C", 7): "83104c929d918b82",
+    ("C", 8): "30567a677c4d6676", ("D", 4): "af452542e323c39d",
+    ("D", 5): "089d3d349ef6620c", ("D", 6): "bc72e9071413db55",
+    ("D", 7): "f86c4c4e3daadb70", ("D", 8): "5997d952ab031adc",
+    ("E", 6): "d21b4a81275fffff", ("E", 7): "bc39dd837f158a5c",
+    ("E", 8): "1d1470cbbe10bc55", ("F", 4): "acbe1a59fe1da2e3",
+    ("G", 2): "4635f0fee09bca8d", ("A", 30): "1c1ec764ddb61650",
+}
+
+
+def test_positive_root_digests_cover_every_type_up_to_rank_eight():
+    up_to_eight = {(f, n) for f in FAMILIES for n in range(1, 9) if is_valid_type(f, n)}
+    assert set(POSITIVE_ROOT_DIGESTS) == up_to_eight | {("A", 30)}
+
+
+@pytest.mark.parametrize("family,rank", sorted(POSITIVE_ROOT_DIGESTS))
+def test_positive_roots_pinned_in_order(family, rank):
+    positives = build_root_system(family, rank).positive_roots
+    digest = hashlib.sha256(repr(positives).encode()).hexdigest()[:16]
+    assert digest == POSITIVE_ROOT_DIGESTS[(family, rank)]
+
+
+@pytest.mark.parametrize("family,rank", [("A", 12), ("B", 4), ("E", 8), ("F", 4), ("G", 2)])
+def test_root_codes_are_the_base_expansion(family, rank):
+    rs = build_root_system(family, rank)
+    assert list(rs.root_code) == list(rs.roots)
+    for beta, code in rs.root_code.items():
+        assert code == sum(c * roots._CODE_BASE**i for i, c in enumerate(beta))
+        assert (code > 0) == (rs.root_lookup[beta] > 0)
+    assert max(max(map(abs, beta)) for beta in rs.roots) <= roots._MAX_COEFFICIENT
+
+
+def test_root_coefficient_above_the_code_bound_raises(monkeypatch):
+    # E8's highest root has coefficient 6; with the bound lowered to 5 the
+    # closure must refuse the root rather than let codes alias.
+    monkeypatch.setattr(roots, "_MAX_COEFFICIENT", 5)
+    with pytest.raises(InvariantViolation, match="root codes"):
+        build_root_system.__wrapped__("E", 8)
+    build_root_system.__wrapped__("E", 7)
 
 
 def test_highest_roots():

@@ -11,8 +11,10 @@ Subspaces are kept in a canonical integer echelon form (primitive rows,
 positive pivots, fully reduced), so subspace equality is plain equality
 of row tuples and every computation is exact.
 
-This module re-derives the kernel filtration, the higher Levi-form
-kernels, and minimality by honest bracket arithmetic; it consumes the
+This module re-derives the kernel filtration and minimality by honest
+bracket arithmetic.  Each level of the filtration is the left kernel of
+the Levi-form bracket tensor of the level before, solved by one echelon
+elimination (``levi_tensor_kernel``).  The module consumes the
 involution only through the image root set of the parabolic, never as a
 map on the algebra.
 """
@@ -23,7 +25,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 
 from .roots import InvariantViolation, Root, RootSystem, kappa, pairing
 
@@ -310,9 +312,10 @@ class Subspace:
 
     Rows are primitive integer vectors, fully reduced with positive
     pivots; two Subspace objects are equal iff the spaces coincide.
+    ``scale`` is the lcm of the pivot entries.
     """
 
-    __slots__ = ("ambient_dim", "rows", "pivots", "_by_pivot")
+    __slots__ = ("ambient_dim", "rows", "pivots", "scale", "_by_pivot")
 
     def __init__(self, ambient_dim: int, vectors=()):
         self.ambient_dim = ambient_dim
@@ -335,6 +338,7 @@ class Subspace:
                     row = _eliminate(row, by_pivot[q], q)
             by_pivot[p] = _primitive(row)
         self.pivots = tuple(pivots)
+        self.scale = lcm(*(by_pivot[p][p] for p in pivots))
         self._by_pivot = {p: by_pivot[p] for p in pivots}
         self.rows = tuple(
             tuple(sorted(by_pivot[p].items())) for p in pivots
@@ -348,15 +352,23 @@ class Subspace:
         return [dict(r) for r in self.rows]
 
     def reduce(self, vec: Vec) -> Vec:
-        """Residue of a vector modulo the subspace (zero iff contained)."""
-        by_pivot = self._by_pivot
-        row = {c: v for c, v in vec.items() if v}
-        while row:
-            p = min(row)
-            if p not in by_pivot:
-                break
-            row = _eliminate(row, by_pivot[p], p)
-        return row
+        """Residue of ``scale * vec`` modulo the subspace, with every pivot
+        column cleared: linear in ``vec``, zero iff ``vec`` is contained.
+        Rows are fully reduced, so clearing one pivot leaves the entries of
+        ``vec`` at the others as they were."""
+        out = {c: self.scale * v for c, v in vec.items() if v}
+        for p, x in vec.items():
+            row = self._by_pivot.get(p)
+            if row is None or not x:
+                continue
+            f = self.scale * x // row[p]
+            for c, v in row.items():
+                nv = out.get(c, 0) - f * v
+                if nv:
+                    out[c] = nv
+                else:
+                    del out[c]
+        return out
 
     def contains(self, vec: Vec) -> bool:
         return not self.reduce(vec)
@@ -381,28 +393,6 @@ class Subspace:
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Subspace(dim={self.dim} of {self.ambient_dim})"
-
-
-def kernel_basis(num_unknowns: int, equations) -> list[Vec]:
-    """Primitive integer basis of the solution space of a homogeneous
-    integer system; deterministic, ordered by free column."""
-    eq = Subspace(num_unknowns, equations)
-    by_pivot = {p: dict(r) for p, r in zip(eq.pivots, eq.rows)}
-    free = [c for c in range(num_unknowns) if c not in by_pivot]
-    basis: list[Vec] = []
-    for f in free:
-        sol: dict[int, Fraction] = {f: Fraction(1)}
-        for p in sorted(by_pivot, reverse=True):
-            row = by_pivot[p]
-            acc = sum((Fraction(v) * sol.get(c, Fraction(0)) for c, v in row.items() if c != p), Fraction(0))
-            if acc:
-                sol[p] = -acc / row[p]
-        scale = 1
-        for v in sol.values():
-            scale = scale * v.denominator // gcd(scale, v.denominator)
-        vec = {c: int(v * scale) for c, v in sol.items() if v}
-        basis.append(_primitive(vec))
-    return basis
 
 
 # ---------------------------------------------------------------------------
@@ -437,35 +427,28 @@ def subspace_root_content(ca: ChevalleyAlgebra, sub: Subspace) -> tuple[frozense
     return frozenset(roots), cartan
 
 
-def _combinations_of(basis: list[Vec], coefficients: list[Vec], dim: int) -> Subspace:
-    """Span of the given coefficient combinations of basis vectors."""
-    vectors = []
-    for t in coefficients:
-        w: Vec = {}
-        for i, coeff in t.items():
-            for c, v in basis[i].items():
-                nv = w.get(c, 0) + coeff * v
-                if nv:
-                    w[c] = nv
-                elif c in w:
-                    del w[c]
-        vectors.append(w)
-    return Subspace(dim, vectors)
+def levi_tensor_kernel(ca: ChevalleyAlgebra, level: Subspace, sigma_q: Subspace) -> Subspace:
+    """Left kernel of the bracket tensor level x sigma_q -> g / (level + sigma_q),
+    {w in level : [w, sigma_q] inside level + sigma_q}.
 
-
-def _one_step_kernel(ca: ChevalleyAlgebra, level: Subspace, sigma_q: Subspace) -> Subspace:
-    """{w in level : [w, sigma_q] inside level + sigma_q}, by kernel solving."""
+    One echelon elimination: each basis row b of ``level`` becomes the row
+    (residue of [b, v_j] for every row v_j of ``sigma_q``, then b itself),
+    with the residues in the low columns.  The echelon rows whose pivot
+    falls in the b block span the kernel, in ambient coordinates."""
     span = level.sum_with(sigma_q)
-    basis = level.row_vecs()
     right = sigma_q.row_vecs()
-    equations: dict[tuple[int, int], Vec] = {}
-    for i, b in enumerate(basis):
+    offset = len(right) * ca.dim
+    rows = []
+    for b in level.row_vecs():
+        row = {offset + c: v for c, v in b.items()}
         for j, v in enumerate(right):
-            residue = span.reduce(ca.bracket(b, v))
-            for coord, val in residue.items():
-                equations.setdefault((j, coord), {})[i] = val
-    ker = kernel_basis(len(basis), list(equations.values()))
-    return _combinations_of(basis, ker, ca.dim)
+            for c, x in span.reduce(ca.bracket(b, v)).items():
+                row[j * ca.dim + c] = x
+        rows.append(row)
+    solved = Subspace(offset + ca.dim, rows)
+    return Subspace(ca.dim, [
+        {c - offset: v for c, v in row} for p, row in zip(solved.pivots, solved.rows) if p >= offset
+    ])
 
 
 def oracle_filtration(ca: ChevalleyAlgebra, q_sub: Subspace, sigma_q: Subspace) -> list[Subspace]:
@@ -473,7 +456,7 @@ def oracle_filtration(ca: ChevalleyAlgebra, q_sub: Subspace, sigma_q: Subspace) 
     up to and including the first stationary subspace."""
     levels = [q_sub]
     while True:
-        nxt = _one_step_kernel(ca, levels[-1], sigma_q)
+        nxt = levi_tensor_kernel(ca, levels[-1], sigma_q)
         if nxt == levels[-1]:
             break
         if not (nxt.dim < levels[-1].dim and nxt <= levels[-1]):
@@ -482,27 +465,6 @@ def oracle_filtration(ca: ChevalleyAlgebra, q_sub: Subspace, sigma_q: Subspace) 
         if len(levels) > q_sub.dim + 1:
             raise InvariantViolation("oracle filtration exceeded its theoretical length")
     return levels
-
-
-def levi_tensor_kernel(ca: ChevalleyAlgebra, levels: list[Subspace], sigma_q: Subspace, k: int) -> Subspace:
-    """Left kernel of the k-th bracket tensor
-    level[k-1] x sigma_q -> ambient / (level[k-1] + sigma_q),
-    assembled as one explicit linear map and solved exactly.  Must equal
-    level k of the chain (a fixed point at the stationary level)."""
-    if k < 1:
-        raise InvariantViolation(f"Levi-tensor kernel index {k} must be at least 1")
-    base = levels[min(k - 1, len(levels) - 1)]
-    denom = base.sum_with(sigma_q)
-    basis = base.row_vecs()
-    right = sigma_q.row_vecs()
-    rows: dict[tuple[int, int], Vec] = {}
-    for i, b in enumerate(basis):
-        for j, v in enumerate(right):
-            residue = denom.reduce(ca.bracket(b, v))
-            for coord, val in residue.items():
-                rows.setdefault((j, coord), {})[i] = val
-    ker = kernel_basis(len(basis), [rows[key] for key in sorted(rows)])
-    return _combinations_of(basis, ker, ca.dim)
 
 
 def oracle_minimality(ca: ChevalleyAlgebra, q_plus: Subspace) -> bool:
@@ -524,9 +486,9 @@ def oracle_minimality(ca: ChevalleyAlgebra, q_plus: Subspace) -> bool:
 def cross_check(rs: RootSystem, q_roots, sigma_q, fast_levels, fast_minimal: bool) -> None:
     """Re-derive one case by bracket arithmetic and compare it with the
     fast root-set answers: chain length, each level's root content and
-    Cartan dimension, the Levi-tensor kernels, and minimality of
-    q + sigma(q).  Reads root sets only; raises InvariantViolation naming
-    the first disagreement."""
+    Cartan dimension, and minimality of q + sigma(q).  Each Levi-tensor
+    kernel is solved once, as a step of ``oracle_filtration``.  Reads root
+    sets only; raises InvariantViolation naming the first disagreement."""
     ca = build_chevalley(rs)
     sq_sub = subspace_from_rootset(ca, sigma_q, True)
     levels = oracle_filtration(ca, subspace_from_rootset(ca, q_roots, True), sq_sub)
@@ -543,9 +505,6 @@ def cross_check(rs: RootSystem, q_roots, sigma_q, fast_levels, fast_minimal: boo
                 f"oracle level {k} lacks {len(fast - roots)} and adds {len(roots - fast)} "
                 "roots against the fast path"
             )
-    for k in range(1, len(levels) + 1):
-        if levi_tensor_kernel(ca, levels, sq_sub, k) != levels[min(k, len(levels) - 1)]:
-            raise InvariantViolation(f"Levi-tensor kernel {k} disagrees with the oracle chain")
     minimal = oracle_minimality(ca, subspace_from_rootset(ca, q_roots | sigma_q, True))
     if minimal != fast_minimal:
         raise InvariantViolation(f"oracle minimality {minimal}, fast path {fast_minimal}")

@@ -1,15 +1,17 @@
 import ast
 import hashlib
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from crflag import chevalley
 from crflag.chevalley import (
+    ChevalleyAlgebra,
     Subspace,
     build_chevalley,
+    cross_check,
     jacobi_check,
-    kernel_basis,
     levi_tensor_kernel,
     oracle_filtration,
     oracle_minimality,
@@ -171,13 +173,63 @@ def test_subspace_generator_order_irrelevant():
     assert len(spans) == 1
 
 
-def test_kernel_basis():
-    # x0 + x1 - x2 = 0, x1 + x2 = 0  ->  kernel spanned by (2, -1, 1)
-    ker = kernel_basis(3, [{0: 1, 1: 1, 2: -1}, {1: 1, 2: 1}])
-    assert ker == [{0: 2, 1: -1, 2: 1}]
-    assert kernel_basis(2, [{0: 1}, {1: 1}]) == []
-    free = kernel_basis(2, [])
-    assert free == [{0: 1}, {1: 1}]
+def test_subspace_reduce_is_linear():
+    # every pivot column is cleared, not only those before the first free one
+    assert Subspace(3, [{0: 1}, {2: 1}]).reduce({1: 1, 2: 1}) == {1: 1}
+    sub = Subspace(4, [{0: 2, 1: 1}, {2: 3, 3: 1}])
+    assert [row[p] for p, row in zip(sub.pivots, sub.row_vecs())] == [2, 3]
+    u = {0: 1, 1: 5, 2: 1}
+    v = {0: -3, 2: 2, 3: 7}
+    total = {c: u.get(c, 0) + v.get(c, 0) for c in set(u) | set(v)}
+    ru, rv = sub.reduce(u), sub.reduce(v)
+    combined = {c: ru.get(c, 0) + rv.get(c, 0) for c in set(ru) | set(rv)}
+    assert sub.reduce(total) == {c: x for c, x in combined.items() if x}
+    assert not set(sub.reduce(total)) & set(sub.pivots)
+    assert sub.contains({0: 4, 1: 2, 2: 3, 3: 1})
+    assert not sub.contains({1: 1})
+
+
+def _rank(rows: list[dict[int, int]]) -> int:
+    """Rank over Q by Fraction Gaussian elimination."""
+    pivots: dict[int, dict[int, Fraction]] = {}
+    for vec in rows:
+        row = {c: Fraction(x) for c, x in vec.items() if x}
+        while row:
+            p = min(row)
+            if p not in pivots:
+                pivots[p] = row
+                break
+            f = row[p] / pivots[p][p]
+            for c, x in pivots[p].items():
+                row[c] = row.get(c, 0) - f * x
+                if not row[c]:
+                    del row[c]
+    return len(pivots)
+
+
+def test_levi_tensor_kernel_off_root_spaces():
+    # A2 (su(2,1)), level = Cartan + C(x_a1 + x_a2): not a root-space sum
+    rs = build_root_system("A", 2)
+    ca = build_chevalley(rs)
+    q = parabolic_from_subset(rs, {1})
+    cr = analyze(rs, q, involution_from_matrix(rs, ((0, 1), (1, 0))))
+    sq_sub = subspace_from_rootset(ca, cr.sigma_q, True)
+    level = Subspace(ca.dim, [{0: 1}, {1: 1}, {ca.root_index[(1, 0)]: 1, ca.root_index[(0, 1)]: 1}])
+    ker = levi_tensor_kernel(ca, level, sq_sub)
+    span = level.sum_with(sq_sub)
+    right = sq_sub.row_vecs()
+    for w in ker.row_vecs():
+        assert level.contains(w)
+        assert all(span.contains(ca.bracket(w, v)) for v in right)
+    # rank of b -> ([b, v_j] mod span)_j, as the rank of the stacked brackets
+    # with a copy of span in every block, less those copies
+    blocks = [{j * ca.dim + c: x for j, v in enumerate(right) for c, x in ca.bracket(b, v).items()}
+              for b in level.row_vecs()]
+    blocks += [{j * ca.dim + c: x for c, x in s.items()} for j in range(len(right)) for s in span.row_vecs()]
+    rank = _rank(blocks) - len(right) * span.dim
+    assert rank == 1
+    assert ker.dim == level.dim - rank
+    assert ker == Subspace(ca.dim, [{0: 1}, {1: 1}])
 
 
 def test_subspace_from_rootset_dims(b3_case):
@@ -224,7 +276,7 @@ def test_oracle_su21_dims():
     levels = oracle_filtration(ca, q_sub, sq_sub)
     assert [lv.dim for lv in levels] == [6, 5]
     # Levi-nondegenerate: the first kernel is already the stationary level
-    assert levi_tensor_kernel(ca, levels, sq_sub, 1) == levels[1]
+    assert levi_tensor_kernel(ca, levels[0], sq_sub) == levels[1]
 
 
 def test_levi_kernels_equal_levels(b3_case):
@@ -232,11 +284,31 @@ def test_levi_kernels_equal_levels(b3_case):
     q_sub = subspace_from_rootset(ca, q.root_set, True)
     sq_sub = subspace_from_rootset(ca, cr.sigma_q, True)
     levels = oracle_filtration(ca, q_sub, sq_sub)
-    assert levi_tensor_kernel(ca, levels, sq_sub, 1).dim == 11
+    assert levi_tensor_kernel(ca, levels[0], sq_sub).dim == 11
     for k in range(1, len(levels)):
-        assert levi_tensor_kernel(ca, levels, sq_sub, k) == levels[k]
+        assert levi_tensor_kernel(ca, levels[k - 1], sq_sub) == levels[k]
     # fixed point at the stationary level
-    assert levi_tensor_kernel(ca, levels, sq_sub, len(levels)) == levels[-1]
+    assert levi_tensor_kernel(ca, levels[-1], sq_sub) == levels[-1]
+
+
+def test_cross_check_solves_each_level_once(b3_case, monkeypatch):
+    rs, ca, q, cr = b3_case
+    calls = []
+    real = ChevalleyAlgebra.bracket
+
+    def counting(self, u, v):
+        calls.append(1)
+        return real(self, u, v)
+
+    monkeypatch.setattr(ChevalleyAlgebra, "bracket", counting)
+    q_sub = subspace_from_rootset(ca, q.root_set, True)
+    sq_sub = subspace_from_rootset(ca, cr.sigma_q, True)
+    oracle_filtration(ca, q_sub, sq_sub)
+    oracle_minimality(ca, subspace_from_rootset(ca, q.root_set | cr.sigma_q, True))
+    alone = len(calls)
+    calls.clear()
+    cross_check(rs, q.root_set, cr.sigma_q, filtration(cr).levels, is_minimal(cr))
+    assert len(calls) == alone > 0
 
 
 def test_oracle_minimality(b3_case):

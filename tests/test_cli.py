@@ -349,6 +349,20 @@ sys.exit(cli.main({list(GOLDEN_ARGS) + ["--oracle"]!r}))
 """
 
 
+_SHORT_KERNEL = f"""
+import sys
+from crflag import chevalley, cli
+real = chevalley.levi_tensor_kernel
+
+def short(*args):
+    kernel = real(*args)
+    return chevalley.Subspace(kernel.ambient_dim, kernel.rows[:-1])
+
+chevalley.levi_tensor_kernel = short
+sys.exit(cli.main({list(GOLDEN_ARGS) + ["--oracle"]!r}))
+"""
+
+
 _OPEN_PARABOLIC = """
 import sys
 from crflag import parabolic
@@ -361,9 +375,9 @@ except InvariantViolation:
 """
 
 
-@pytest.mark.parametrize("script", [_TRUNCATED_SURVEY, _WRONG_MINIMALITY, _OPEN_PARABOLIC],
+@pytest.mark.parametrize("script", [_TRUNCATED_SURVEY, _WRONG_MINIMALITY, _SHORT_KERNEL, _OPEN_PARABOLIC],
                          ids=["survey-truncated-chain", "analyze-wrong-minimality",
-                              "parabolic-not-closed"])
+                              "analyze-short-kernel", "parabolic-not-closed"])
 def test_oracle_mismatch_is_caught_under_python_O(script):
     proc = _python("-O", "-c", script, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
     out, err = proc.communicate(timeout=300)

@@ -4,7 +4,10 @@ The algebra is spanned by coroots h_1..h_n and one vector x_alpha per
 root.  Structure constants N(alpha,beta) with |N| = p+1 (p the length of
 the downward alpha-string through beta) are fixed by choosing +(p+1) on
 extraspecial pairs and propagating every other sign through the Jacobi
-identity; the construction verifies the Jacobi identity on basis triples
+identity, in integer arithmetic throughout.  They go, with the Cartan
+eigenvalues and the coroots, into one sparse adjoint table ``ad`` that
+holds every non-zero bracket of two basis vectors and is complete once
+built; the construction verifies the Jacobi identity on basis triples
 afterwards (exhaustively up to rank 4, sampled above).
 
 Subspaces are kept in a canonical integer echelon form (primitive rows,
@@ -14,7 +17,9 @@ of row tuples and every computation is exact.
 This module re-derives the kernel filtration and minimality by honest
 bracket arithmetic.  Each level of the filtration is the left kernel of
 the Levi-form bracket tensor of the level before, solved by one echelon
-elimination (``levi_tensor_kernel``).  The module consumes the
+elimination (``levi_tensor_kernel``).  Minimality is the fixpoint of
+V <- V + [V, V], reached semi-naively: each round brackets only the
+directions the round before added.  The module consumes the
 involution only through the image root set of the parabolic, never as a
 map on the algebra.
 """
@@ -23,8 +28,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from math import gcd, lcm
 
 from .roots import InvariantViolation, Root, RootSystem, kappa, pairing
@@ -57,19 +62,31 @@ def _build_n_table(rs: RootSystem) -> dict[tuple[Root, Root], int]:
 
     Roots are handled by their integer codes (``rs.root_code``: sums and
     negatives are integer sums and negatives, and a root is positive iff
-    its code is), and kappa(a,a) is computed once per root; the keys of
-    the returned table are the root tuples of ``rs``.
+    its code is), and kappa(a,a) is computed once per root.  All arithmetic
+    is on integers: the Jacobi step and a length ratio are exact divisions
+    that raise on a remainder, and a ratio of equal lengths is not applied.
+    The keys of the returned table are the root tuples of ``rs``.
     """
     root_of = {c: r for r, c in rs.root_code.items()}
     order = {rs.root_code[r]: i for i, r in enumerate(rs.positive_roots)}
-    length = {c: kappa(rs, r, r) for c, r in root_of.items()}
+    # 6 kappa(a, a), an integer
+    length = {c: int(6 * kappa(rs, r, r)) for c, r in root_of.items()}
     npos: dict[tuple[int, int], int] = {}
 
-    def n_any(x: int, y: int) -> Fraction:
+    def scaled(n: int, num: int, den: int) -> int:
+        """n * num / den, exactly."""
+        if num == den:
+            return n
+        val, rem = divmod(n * num, den)
+        if rem:
+            raise InvariantViolation("a length ratio must scale a structure constant to an integer")
+        return val
+
+    def n_any(x: int, y: int) -> int:
         if x > 0 and y > 0:
             if order[x] < order[y]:
-                return Fraction(npos[(x, y)])
-            return Fraction(-npos[(y, x)])
+                return npos[(x, y)]
+            return -npos[(y, x)]
         if x < 0 and y < 0:
             return -n_any(-x, -y)
         if x < 0:
@@ -77,8 +94,8 @@ def _build_n_table(rs: RootSystem) -> dict[tuple[Root, Root], int]:
         # x positive, y negative, x+y a root
         z = -(x + y)
         if z > 0:
-            return length[z] / length[y] * n_any(z, x)
-        return length[z] / length[x] * n_any(y, z)
+            return scaled(n_any(z, x), length[z], length[y])
+        return scaled(n_any(y, z), length[z], length[x])
 
     by_height = [rs.root_code[r] for r in sorted(rs.positive_roots, key=lambda r: (sum(r), r))]
     # the first rank roots by height are the simple roots
@@ -99,7 +116,7 @@ def _build_n_table(rs: RootSystem) -> dict[tuple[Root, Root], int]:
             # Jacobi on (x_{-a1}, x_alpha, x_beta) with (a1, b1) extraspecial:
             # N(alpha,beta) N(-a1,gamma) = -(N(beta,-a1) N(alpha,beta-a1)
             #                               + N(-a1,alpha) N(beta,alpha-a1))
-            acc = Fraction(0)
+            acc = 0
             d2 = beta - ex_alpha
             if d2 in root_of:
                 acc += n_any(beta, -ex_alpha) * n_any(alpha, d2)
@@ -109,22 +126,21 @@ def _build_n_table(rs: RootSystem) -> dict[tuple[Root, Root], int]:
             denom = n_any(-ex_alpha, gamma)
             if denom == 0:
                 raise InvariantViolation("the extraspecial constant N(-a1, gamma) must not vanish")
-            val = -acc / denom
-            expect = _string_down(root_of, alpha, beta) + 1
-            if not (val.denominator == 1 and abs(val) == expect):
+            val, rem = divmod(-acc, denom)
+            if rem or abs(val) != _string_down(root_of, alpha, beta) + 1:
                 raise InvariantViolation("structure constant must be an integer of modulus p+1")
-            npos[(alpha, beta)] = int(val)
+            npos[(alpha, beta)] = val
 
     table: dict[tuple[int, int], int] = {}
     for a in root_of:
         for b in root_of:
             if a + b in root_of:
                 val = n_any(a, b)
-                if val.denominator != 1 or abs(val) != _string_down(root_of, a, b) + 1:
+                if abs(val) != _string_down(root_of, a, b) + 1:
                     raise InvariantViolation(
                         f"N{(root_of[a], root_of[b])} must be an integer of modulus p+1"
                     )
-                table[(a, b)] = int(val)
+                table[(a, b)] = val
     for (a, b), n in table.items():
         if table[(b, a)] != -n:
             raise InvariantViolation(f"N(b,a) must be -N(a,b) for {(root_of[a], root_of[b])}")
@@ -135,54 +151,34 @@ def _build_n_table(rs: RootSystem) -> dict[tuple[Root, Root], int]:
 
 @dataclass(frozen=True, eq=False)
 class ChevalleyAlgebra:
-    """Bracket tables over the basis h_1..h_n, then x_alpha per root.
+    """The algebra over the basis h_1..h_n, then x_alpha per root.
 
-    ``coroot`` gives [x_alpha, x_{-alpha}] in coroot coordinates and
-    ``h_action`` the integer eigenvalues [h_i, x_alpha] = <alpha|alpha_i>.
+    ``ad`` is the sparse adjoint table, indexed by basis coordinate:
+    ``ad[i]`` maps j to [e_i, e_j] and holds only the non-zero brackets,
+    namely the eigenvalues [h_i, x_alpha] = <alpha|alpha_i> in both orders,
+    [x_alpha, x_{-alpha}] as the coroot of alpha in coroot coordinates, and
+    one entry per pair of ``n_table``.  It is complete when the algebra is
+    built; nothing fills in later.
     """
 
     rs: RootSystem
     dim: int
     root_index: dict[Root, int]          # root -> basis coordinate
-    code_index: dict[int, int]           # root code -> basis coordinate
     basis_root: dict[int, Root]          # basis coordinate -> root
     n_table: dict[tuple[Root, Root], int]
-    coroot: dict[Root, tuple[int, ...]]
-    h_action: dict[Root, tuple[int, ...]]
-    _unit_cache: dict[tuple[int, int], Vec]
-
-    def bracket_units(self, i: int, j: int) -> Vec:
-        cached = self._unit_cache.get((i, j))
-        if cached is not None:
-            return cached
-        n = self.rs.rank
-        if i < n and j < n:
-            out: Vec = {}
-        elif i < n:
-            c = self.h_action[self.basis_root[j]][i]
-            out = {j: c} if c else {}
-        elif j < n:
-            c = self.h_action[self.basis_root[i]][j]
-            out = {i: -c} if c else {}
-        else:
-            a = self.basis_root[i]
-            b = self.basis_root[j]
-            s = self.rs.root_code[a] + self.rs.root_code[b]
-            if s == 0:
-                out = {k: c for k, c in enumerate(self.coroot[a]) if c}
-            elif s in self.code_index:
-                out = {self.code_index[s]: self.n_table[(a, b)]}
-            else:
-                out = {}
-        self._unit_cache[(i, j)] = out
-        return out
+    ad: list[dict[int, Vec]]
 
     def bracket(self, u: Vec, v: Vec) -> Vec:
         out: Vec = {}
         for i, a in u.items():
+            row = self.ad[i]
             for j, b in v.items():
-                for k, c in self.bracket_units(i, j).items():
-                    val = out.get(k, 0) + a * b * c
+                unit = row.get(j)
+                if unit is None:
+                    continue
+                ab = a * b
+                for k, c in unit.items():
+                    val = out.get(k, 0) + ab * c
                     if val:
                         out[k] = val
                     elif k in out:
@@ -233,7 +229,7 @@ def jacobi_check(ca: ChevalleyAlgebra, sample: int | None = None) -> int:
 
 @lru_cache(maxsize=None)
 def build_chevalley(rs: RootSystem) -> ChevalleyAlgebra:
-    """Build the bracket tables and verify them at construction time."""
+    """Build the adjoint table and verify it at construction time."""
     if rs.rank > 8:
         raise ValueError("Chevalley construction is bounded at rank 8")
     n = rs.rank
@@ -243,37 +239,38 @@ def build_chevalley(rs: RootSystem) -> ChevalleyAlgebra:
         idx = n + len(root_index)
         root_index[beta] = idx
         basis_root[idx] = beta
+    code_index = {rs.root_code[beta]: idx for beta, idx in root_index.items()}
     n_table = _build_n_table(rs)
 
-    coroot: dict[Root, tuple[int, ...]] = {}
-    h_action: dict[Root, tuple[int, ...]] = {}
+    ad: list[dict[int, Vec]] = [{} for _ in range(n + len(rs.roots))]
     for beta in rs.roots:
+        x = root_index[beta]
         kbb = rs.inner(beta, beta)
-        co = []
+        coroot: Vec = {}
         for i, c in enumerate(beta):
-            val = Fraction(c * rs.form[i][i], kbb)
-            if val.denominator != 1:
+            val, rem = divmod(c * rs.form[i][i], kbb)
+            if rem:
                 raise InvariantViolation("coroots are integral over the coroot basis")
-            co.append(int(val))
-        coroot[beta] = tuple(co)
-        acts = []
+            if val:
+                coroot[i] = val
+        ad[x][code_index[-rs.root_code[beta]]] = coroot
         for i in range(n):
             val = pairing(rs, beta, rs.simple(i + 1))
             if not isinstance(val, int):
                 raise InvariantViolation(f"<{beta}|alpha_{i + 1}> must be an integer")
-            acts.append(val)
-        h_action[beta] = tuple(acts)
+            if val:
+                ad[i][x] = {x: val}
+                ad[x][i] = {x: -val}
+    for (a, b), nab in n_table.items():
+        ad[root_index[a]][root_index[b]] = {code_index[rs.root_code[a] + rs.root_code[b]]: nab}
 
     ca = ChevalleyAlgebra(
         rs=rs,
         dim=n + len(rs.roots),
         root_index=root_index,
-        code_index={rs.root_code[beta]: idx for beta, idx in root_index.items()},
         basis_root=basis_root,
         n_table=n_table,
-        coroot=coroot,
-        h_action=h_action,
-        _unit_cache={},
+        ad=ad,
     )
     jacobi_check(ca, sample=None if rs.rank <= 4 else 4000)
     return ca
@@ -442,8 +439,10 @@ def levi_tensor_kernel(ca: ChevalleyAlgebra, level: Subspace, sigma_q: Subspace)
     for b in level.row_vecs():
         row = {offset + c: v for c, v in b.items()}
         for j, v in enumerate(right):
-            for c, x in span.reduce(ca.bracket(b, v)).items():
-                row[j * ca.dim + c] = x
+            image = ca.bracket(b, v)
+            if image:
+                for c, x in span.reduce(image).items():
+                    row[j * ca.dim + c] = x
         rows.append(row)
     solved = Subspace(offset + ca.dim, rows)
     return Subspace(ca.dim, [
@@ -469,18 +468,27 @@ def oracle_filtration(ca: ChevalleyAlgebra, q_sub: Subspace, sigma_q: Subspace) 
 
 def oracle_minimality(ca: ChevalleyAlgebra, q_plus: Subspace) -> bool:
     """Iterate V <- V + [V, V] to stabilization; True iff V fills the
-    algebra."""
-    current = q_plus
-    while True:
-        rows = current.row_vecs()
-        new_vectors = list(current.rows)
-        for i in range(len(rows)):
-            for j in range(i + 1, len(rows)):
-                new_vectors.append(ca.bracket(rows[i], rows[j]))
-        nxt = Subspace(ca.dim, new_vectors)
-        if nxt == current:
-            return current.dim == ca.dim
-        current = nxt
+    algebra.
+
+    Semi-naive: after a round, the brackets of the rows it started from
+    lie in V, so the next round brackets only the directions it added (the
+    echelon rows of the non-zero residues mod V), against every earlier
+    row and against each other once."""
+    span = q_plus
+    old: list[Vec] = []
+    new = q_plus.row_vecs()
+    while new and span.dim < ca.dim:
+        residues = []
+        for i, u in enumerate(new):
+            for v in chain(old, new[i + 1:]):
+                image = ca.bracket(u, v)
+                if image and (res := span.reduce(image)):
+                    residues.append(res)
+        old.extend(new)
+        added = Subspace(ca.dim, residues)
+        new = added.row_vecs()
+        span = span.sum_with(added)
+    return span.dim == ca.dim
 
 
 def cross_check(rs: RootSystem, q_roots, sigma_q, fast_levels, fast_minimal: bool) -> None:

@@ -1,6 +1,8 @@
 import ast
 import hashlib
+import random
 from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -19,9 +21,14 @@ from crflag.chevalley import (
     subspace_root_content,
 )
 from crflag.cralgebra import analyze, filtration, is_minimal
-from crflag.involution import cayley_update, identity_involution, involution_from_matrix
+from crflag.involution import (
+    cayley_update,
+    enumerate_cayley_involutions,
+    identity_involution,
+    involution_from_matrix,
+)
 from crflag.parabolic import parabolic_from_subset
-from crflag.roots import build_root_system, kappa
+from crflag.roots import build_root_system, is_valid_type, kappa
 
 
 @pytest.fixture(scope="module")
@@ -100,6 +107,38 @@ def test_structure_constants_pinned(family, rank):
     table = chevalley._build_n_table(build_root_system(family, rank))
     digest = hashlib.sha256(repr(sorted(table.items())).encode()).hexdigest()[:16]
     assert digest == N_TABLE_DIGESTS[(family, rank)]
+
+
+# sha256 of repr(sorted(((i, j), sorted(ca.bracket({i: 1}, {j: 1}).items())))
+# over every unit pair), first 16 hex digits, recorded when each unit
+# bracket was computed on demand from the root tables and cached: the
+# adjoint table must give the same brackets.
+BRACKET_DIGESTS = {
+    ("B", 3): "658f9e6b47400899",
+    ("C", 3): "3de9849b3df6e36c",
+    ("G", 2): "800744f39ad32773",
+    ("F", 4): "a5d8a78af42f1a92",
+}
+
+
+@pytest.mark.parametrize("family,rank", sorted(BRACKET_DIGESTS))
+def test_bracket_table_pinned(family, rank):
+    ca = build_chevalley(build_root_system(family, rank))
+    table = {(i, j): ca.bracket({i: 1}, {j: 1}) for i in range(ca.dim) for j in range(ca.dim)}
+    items = sorted((ij, sorted(w.items())) for ij, w in table.items())
+    assert hashlib.sha256(repr(items).encode()).hexdigest()[:16] == BRACKET_DIGESTS[(family, rank)]
+    for (i, j), w in table.items():
+        assert w == {k: -c for k, c in table[(j, i)].items()}
+    # the table holds exactly the non-zero unit brackets
+    assert all(entry for row in ca.ad for entry in row.values())
+    assert {(i, j) for i, row in enumerate(ca.ad) for j in row} == {ij for ij, w in table.items() if w}
+
+
+def test_cross_check_leaves_the_adjoint_table_as_built(b3_case):
+    rs, ca, q, cr = b3_case
+    entries = sum(map(len, ca.ad))
+    cross_check(rs, q.root_set, cr.sigma_q, filtration(cr).levels, is_minimal(cr))
+    assert sum(map(len, ca.ad)) == entries
 
 
 def test_n_table_computes_each_root_length_once(monkeypatch):
@@ -327,3 +366,79 @@ def test_levels_are_root_space_sums(b3_case):
         roots, cartan = subspace_root_content(ca, sub)
         assert cartan == 3
         assert len(roots) + cartan == sub.dim
+
+
+def _naive_minimality(ca: ChevalleyAlgebra, q_plus: Subspace) -> bool:
+    """V <- V + [V, V] to stabilization, bracketing every pair of rows of V
+    on every round."""
+    current = q_plus
+    while True:
+        rows = current.row_vecs()
+        brackets = [ca.bracket(u, v) for u, v in combinations(rows, 2)]
+        nxt = Subspace(ca.dim, list(current.rows) + brackets)
+        if nxt == current:
+            return current.dim == ca.dim
+        current = nxt
+
+
+def test_oracle_minimality_equals_naive_loop_on_root_spaces():
+    verdicts = set()
+    for family in "ABCDG":
+        for rank in range(1, 4):
+            if not is_valid_type(family, rank):
+                continue
+            rs = build_root_system(family, rank)
+            ca = build_chevalley(rs)
+            involutions = enumerate_cayley_involutions(rs, 3)
+            seen = set()
+            for size in range(rank + 1):
+                for qr in combinations(range(1, rank + 1), size):
+                    q = parabolic_from_subset(rs, qr)
+                    for sigma in involutions:
+                        q_plus = analyze(rs, q, sigma).q_plus
+                        if q_plus in seen:
+                            continue
+                        seen.add(q_plus)
+                        sub = subspace_from_rootset(ca, q_plus, True)
+                        verdict = oracle_minimality(ca, sub)
+                        assert verdict == _naive_minimality(ca, sub), (family, rank, qr)
+                        verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+def test_oracle_minimality_equals_naive_loop_off_root_spaces():
+    rng = random.Random(2006)
+    verdicts = set()
+    for family, rank in (("A", 2), ("B", 3), ("G", 2)):
+        ca = build_chevalley(build_root_system(family, rank))
+        for _ in range(8):
+            vecs = []
+            for _ in range(rng.randint(1, 3)):
+                coords = rng.sample(range(ca.dim), rng.randint(1, 3))
+                vecs.append({c: rng.choice((-2, -1, 1, 2)) for c in coords})
+            sub = Subspace(ca.dim, vecs)
+            verdict = oracle_minimality(ca, sub)
+            assert verdict == _naive_minimality(ca, sub), (family, rank, vecs)
+            verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+def test_oracle_minimality_brackets_each_pair_once_on_e8(monkeypatch):
+    # the E8 case of the analyze-cold benchmark workload
+    rs = build_root_system("E", 8)
+    ca = build_chevalley(rs)
+    sigma = cayley_update(rs, identity_involution(rs), (0, 0, 0, 0, 0, 0, 0, 1))
+    cr = analyze(rs, parabolic_from_subset(rs, range(1, 8)), sigma)
+    q_plus = subspace_from_rootset(ca, cr.q_plus, True)
+    m = q_plus.dim
+    assert m == 219
+    calls = []
+    real = ChevalleyAlgebra.bracket
+
+    def counting(self, u, v):
+        calls.append(1)
+        return real(self, u, v)
+
+    monkeypatch.setattr(ChevalleyAlgebra, "bracket", counting)
+    assert oracle_minimality(ca, q_plus) is is_minimal(cr) is True
+    assert len(calls) <= m * (m - 1) // 2 + (ca.dim - m) * ca.dim

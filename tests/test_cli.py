@@ -363,6 +363,24 @@ sys.exit(cli.main({list(GOLDEN_ARGS) + ["--oracle"]!r}))
 """
 
 
+_FLIPPED_BRACKET = f"""
+import sys
+from crflag import chevalley, cli
+real = chevalley.ChevalleyAlgebra
+
+def flipped(**fields):
+    # negate one root-root entry [x_a, x_b] = N(a,b) x_(a+b) of the table
+    a, b = next(iter(fields["n_table"]))
+    row = fields["ad"][fields["root_index"][a]]
+    j = fields["root_index"][b]
+    row[j] = {{k: -c for k, c in row[j].items()}}
+    return real(**fields)
+
+chevalley.ChevalleyAlgebra = flipped
+sys.exit(cli.main({list(GOLDEN_ARGS) + ["--oracle"]!r}))
+"""
+
+
 _OPEN_PARABOLIC = """
 import sys
 from crflag import parabolic
@@ -375,9 +393,11 @@ except InvariantViolation:
 """
 
 
-@pytest.mark.parametrize("script", [_TRUNCATED_SURVEY, _WRONG_MINIMALITY, _SHORT_KERNEL, _OPEN_PARABOLIC],
+@pytest.mark.parametrize("script", [_TRUNCATED_SURVEY, _WRONG_MINIMALITY, _SHORT_KERNEL,
+                                    _FLIPPED_BRACKET, _OPEN_PARABOLIC],
                          ids=["survey-truncated-chain", "analyze-wrong-minimality",
-                              "analyze-short-kernel", "parabolic-not-closed"])
+                              "analyze-short-kernel", "analyze-flipped-bracket",
+                              "parabolic-not-closed"])
 def test_oracle_mismatch_is_caught_under_python_O(script):
     proc = _python("-O", "-c", script, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
     out, err = proc.communicate(timeout=300)

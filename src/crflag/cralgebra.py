@@ -11,6 +11,14 @@ beta of sigma(q) lands back inside the current level or sigma(q); the
 Cartan part is implicit since it lies in every level.  The filtration
 decides the order of nondegeneracy, holomorphic degeneracy, and together
 with the addition closure of q + sigma(q), minimality.
+
+sigma reaches this module already validated: ``involution._involution``
+checks that it is a linear involution of Phi.  So every fact that follows
+from sigma permuting the roots (sigma-stability of q^inf, of q + sigma(q)
+and of its complement, and the size identities) is not checked again
+per case; the tests check them once over whole families of cases.  Apart
+from the closedness of q^inf (see ``analyze``), the checks that stay are
+theorems about the filtration and the witness.
 """
 
 from __future__ import annotations
@@ -62,26 +70,26 @@ class GeometryReport:
 
 
 def analyze(rs: RootSystem, q: ParabolicData, sigma: InvolutionData) -> CRAlgebraData:
-    """Assemble the cached root sets and check their structural invariants."""
+    """Assemble the cached root sets: one sigma image per root of q.
+
+    The involution constructor has already checked that sigma is a
+    linear involution of Phi, so these hold without a check here:
+    sigma(q^inf) = q^inf and sigma(q + sigma(q)) = q + sigma(q), since
+    sigma(q & sigma(q)) = sigma(q) & q; |q + sigma(q)| = 2|q| - |q^inf|,
+    since |sigma(q)| = |q|; a lone transversal root is sigma-fixed, since
+    Phi minus q + sigma(q) is sigma-stable.  The closedness of q^inf is
+    implied too (q is closed and sigma is linear), but it is still
+    checked here.  Dropping it speeds the sweep benchmark up so far that
+    the harness, whose own memory grows with each repetition it keeps,
+    reports a peak RSS beyond its bound; it goes once the benchmark
+    measures each interpreter's own peak (ROADMAP item 1)."""
     q_roots = q.root_set
-    sigma_q = frozenset(sigma.apply(beta) for beta in q_roots)
+    sigma_q = frozenset(map(sigma.apply, q_roots))
     q_plus = q_roots | sigma_q
     q_infty = q_roots & sigma_q
     gamma_set = frozenset(rs.roots) - q_plus
-
-    if frozenset(sigma.apply(b) for b in q_infty) != q_infty:
-        raise InvariantViolation("sigma must preserve q^inf")
-    if frozenset(sigma.apply(b) for b in q_plus) != q_plus:
-        raise InvariantViolation("sigma must preserve q + sigma(q)")
     if not check_root_set_closed(rs, q_infty):
         raise InvariantViolation("q^inf must be closed under root addition")
-    if len(q_plus) != 2 * len(q_roots) - len(q_infty):
-        raise InvariantViolation("|q + sigma(q)| must be 2|q| - |q^inf|")
-    if len(gamma_set) == 1:
-        (gamma,) = gamma_set
-        if not sigma.fixes(gamma):
-            raise InvariantViolation("a hypersurface transversal root must be sigma-fixed")
-
     return CRAlgebraData(
         rs=rs,
         q=q,
@@ -94,7 +102,9 @@ def analyze(rs: RootSystem, q: ParabolicData, sigma: InvolutionData) -> CRAlgebr
 
 
 def geometry(cr: CRAlgebraData) -> GeometryReport:
-    """Dimensions and orbit type read off the root-set sizes."""
+    """Dimensions and orbit type read off the root-set sizes.  dim M =
+    2 CR-dim + CR-codim is inclusion-exclusion for q and sigma(q), which
+    have the same size because sigma is a bijection of Phi."""
     n_roots = len(cr.rs.roots)
     dim_z = n_roots - len(cr.q.root_set)
     dim_m = n_roots - len(cr.q_infty)
@@ -106,8 +116,6 @@ def geometry(cr: CRAlgebraData) -> GeometryReport:
         orbit = ORBIT_TOTALLY_REAL
     else:
         orbit = ORBIT_CR
-    if dim_m != 2 * cr_dim + cr_codim:
-        raise InvariantViolation("dim M must be 2 CR-dim + CR-codim")
     return GeometryReport(
         dim_Z=dim_z, dimR_M=dim_m, cr_dim=cr_dim, cr_codim=cr_codim, orbit_type=orbit
     )

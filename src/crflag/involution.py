@@ -2,10 +2,12 @@
 
 An involution sigma is stored as its images of all roots, computed once
 when it is built; the fast path only ever uses sigma as a map from roots
-to roots.  It must be an involution of the root set that preserves the
-invariant form, and since the roots span the lattice it is then a
-lattice automorphism, whose integer matrix (columns sigma(alpha_j)) is
-kept for printing and deduplication.  Starting from the identity (the
+to roots.  The one constructor validates it, so no caller checks sigma
+again: it maps roots to roots, it squares to the identity, it preserves
+the invariant form on the simple roots, and it is linear, i.e. the image
+table equals the integer matrix (columns sigma(alpha_j)) on every root.
+sigma is then a lattice automorphism that permutes the roots; the matrix
+is kept for printing and deduplication.  Starting from the identity (the
 split situation), new involutions are produced by Cayley steps: a step
 at a root gamma fixed by the current involution composes with the
 reflection in gamma, sigma' = s_gamma o sigma.  Chains require each new
@@ -16,6 +18,7 @@ commute.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import mul
 
 from .roots import InvariantViolation, Root, RootSystem
 
@@ -51,9 +54,17 @@ class InvolutionData:
 
 
 def _involution(rs: RootSystem, images: dict[Root, Root], provenance) -> InvolutionData:
-    """The one constructor: check that ``images`` maps roots to roots,
-    squares to the identity and keeps the inner products of the simple
-    roots, then read off the matrix."""
+    """The one constructor, and the only place sigma is validated.  Four
+    checks, in this order: ``images`` maps roots to roots, squares to the
+    identity, keeps the inner products of the simple roots, and is linear
+    (sigma(beta) = sum_i beta_i sigma(alpha_i) for every root beta).  Then
+    read off the matrix.
+
+    The first two make sigma a bijection of Phi, so sigma(q) has |q|
+    roots, sigma(q & sigma(q)) = q & sigma(q), sigma(q | sigma(q)) =
+    q | sigma(q), and Phi minus q | sigma(q) is sigma-stable; linearity
+    adds that sigma maps closed root sets to closed root sets.
+    ``cralgebra.analyze`` relies on all of this without checking it."""
     lookup = rs.root_lookup
     for beta in rs.roots:
         image = images[beta]
@@ -68,6 +79,18 @@ def _involution(rs: RootSystem, images: dict[Root, Root], provenance) -> Involut
         for j, cj in enumerate(cols):
             if rs.inner(ci, cj) != rs.form[i][j]:
                 raise InvolutionError("the invariant form is not preserved")
+    # Linearity on root codes, one dot product per root.  The form check
+    # comes first: the matrix is then an isometry, so sum_i beta_i
+    # sigma(alpha_i) has the length of a root, and lattice vectors that
+    # short have coefficients of at most 6 in every simple type, where
+    # codes are injective; equal codes mean equal vectors.
+    codes = rs.root_code
+    col_codes = [codes[c] for c in cols]
+    for beta in rs.roots:
+        if codes[images[beta]] != sum(map(mul, beta, col_codes)):
+            raise InvolutionError(
+                f"the map is not linear (sigma({beta}) is not the matrix applied to {beta})"
+            )
     return InvolutionData(matrix=tuple(zip(*cols)), provenance=provenance, images=images)
 
 

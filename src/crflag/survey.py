@@ -107,11 +107,11 @@ def run_survey(
 
 
 def _survey_case(rs, q, cq, sigma, hypersurface_only, oracle_max_rank, seen):
-    label = provenance_label(sigma)
     cr = analyze(rs, q, sigma)
     geo = geometry(cr)
     if hypersurface_only and geo.cr_codim != 1:
         return None
+    label = provenance_label(sigma)
     order = nondegeneracy_order(cr)
     minimal = is_minimal(cr)
     finite = isinstance(order, int)

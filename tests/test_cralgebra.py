@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from crflag.cralgebra import (
@@ -16,6 +18,7 @@ from crflag.cralgebra import (
     nondegeneracy_order,
 )
 from crflag.involution import (
+    InvolutionData,
     cayley_update,
     enumerate_cayley_involutions,
     identity_involution,
@@ -216,3 +219,51 @@ def test_sigma_swap_consistency(golden):
     assert len(mirrored) == len(direct)
     for lhs, rhs in zip(mirrored, direct):
         assert lhs == frozenset(sigma.apply(b) for b in rhs)
+
+
+def _depth_three_cases():
+    """Every (q, sigma) of A1-A4, B2-B4, C3, D4 and G2 with sigma a Cayley
+    chain of length at most 3, or -1."""
+    for family, rank in (("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3),
+                         ("B", 4), ("C", 3), ("D", 4), ("G", 2)):
+        rs = build_root_system(family, rank)
+        minus = tuple(tuple(-int(i == j) for j in range(rank)) for i in range(rank))
+        sigmas = enumerate_cayley_involutions(rs, 3) + [involution_from_matrix(rs, minus)]
+        for size in range(rank + 1):
+            for qr in itertools.combinations(range(1, rank + 1), size):
+                q = parabolic_from_subset(rs, qr)
+                for sigma in sigmas:
+                    yield rs, q, sigma
+
+
+def test_identities_analyze_takes_from_the_involution():
+    # analyze checks none of these per case: each follows from sigma being
+    # a linear involution of Phi, which its constructor checks
+    cases = 0
+    for rs, q, sigma in _depth_three_cases():
+        cr = analyze(rs, q, sigma)
+        for roots in (cr.q_infty, cr.q_plus, cr.gamma_set):
+            assert frozenset(map(sigma.apply, roots)) == roots
+        assert len(cr.q_plus) == 2 * len(q.root_set) - len(cr.q_infty)
+        if len(cr.gamma_set) == 1:
+            (gamma,) = cr.gamma_set
+            assert sigma.fixes(gamma)
+        geo = geometry(cr)
+        assert geo.dimR_M == 2 * geo.cr_dim + geo.cr_codim
+        assert check_root_set_closed(rs, cr.q_infty)
+        cases += 1
+    assert cases == 2_866
+
+
+def test_analyze_applies_sigma_once_per_root_of_q(golden, monkeypatch):
+    rs, q, sigma, _ = golden
+    calls = []
+    apply = InvolutionData.apply
+
+    def counting(self, root):
+        calls.append(root)
+        return apply(self, root)
+
+    monkeypatch.setattr(InvolutionData, "apply", counting)
+    analyze(rs, q, sigma)
+    assert len(calls) == len(q.root_set)

@@ -240,3 +240,15 @@ def test_chain_roots_pairwise_strongly_orthogonal():
         for i, g1 in enumerate(chain):
             for g2 in chain[i + 1:]:
                 assert strongly_orthogonal(rs, g1, g2)
+
+
+def test_constructor_rejects_non_linear_table():
+    # swapping alpha1+alpha2 with alpha2+alpha3 (and their negatives) in
+    # the A3 identity table is an involution of the root set that keeps
+    # the simple roots, so only the linearity check can reject it
+    rs = build_root_system("A", 3)
+    images = {beta: beta for beta in rs.roots}
+    for a, b in (((1, 1, 0), (0, 1, 1)), ((-1, -1, 0), (0, -1, -1))):
+        images[a], images[b] = b, a
+    with pytest.raises(InvolutionError, match=r"not linear \(sigma\(\(0, 1, 1\)\)"):
+        _involution(rs, images, "explicit")

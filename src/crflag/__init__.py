@@ -15,14 +15,14 @@ from .cralgebra import (
     ORBIT_OPEN,
     ORBIT_TOTALLY_REAL,
     CRAlgebraData,
+    CaseResult,
     FiltrationResult,
     GeometryReport,
     analyze,
+    evaluate,
     filtration,
-    geometry,
     holomorphic_degeneracy_witness,
     is_minimal,
-    nondegeneracy_order,
 )
 from .chevalley import (
     ChevalleyAlgebra,
@@ -58,7 +58,6 @@ from .roots import (
     build_root_system,
     format_root,
     highest_root,
-    kappa,
     pairing,
     parse_root,
 )
@@ -66,9 +65,9 @@ from .survey import SurveyRow, TheoremViolation, run_survey
 
 __all__ = [
     # cralgebra
-    "CRAlgebraData", "DEGENERATE", "FiltrationResult", "GeometryReport", "ORBIT_CR",
-    "ORBIT_OPEN", "ORBIT_TOTALLY_REAL", "analyze", "filtration", "geometry",
-    "holomorphic_degeneracy_witness", "is_minimal", "nondegeneracy_order",
+    "CRAlgebraData", "CaseResult", "DEGENERATE", "FiltrationResult", "GeometryReport",
+    "ORBIT_CR", "ORBIT_OPEN", "ORBIT_TOTALLY_REAL", "analyze", "evaluate", "filtration",
+    "holomorphic_degeneracy_witness", "is_minimal",
     # chevalley
     "ChevalleyAlgebra", "Subspace", "build_chevalley", "cross_check", "jacobi_check",
     "levi_tensor_kernel", "oracle_filtration", "oracle_minimality", "subspace_from_rootset",
@@ -79,7 +78,7 @@ __all__ = [
     "NotMaximal", "ParabolicData", "c_of_q", "parabolic_from_subset",
     # roots
     "InvariantViolation", "Root", "RootSystem", "UnknownRootSystem", "build_root_system",
-    "format_root", "highest_root", "kappa", "pairing", "parse_root",
+    "format_root", "highest_root", "pairing", "parse_root",
     # survey
     "SurveyRow", "TheoremViolation", "run_survey",
 ]

@@ -32,7 +32,7 @@ from functools import lru_cache
 from itertools import chain
 from math import gcd, lcm
 
-from .roots import InvariantViolation, Root, RootSystem, kappa, pairing
+from .roots import InvariantViolation, Root, RootSystem
 
 Vec = dict[int, int]
 
@@ -70,7 +70,7 @@ def _build_n_table(rs: RootSystem) -> dict[tuple[Root, Root], int]:
     root_of = {c: r for r, c in rs.root_code.items()}
     order = {rs.root_code[r]: i for i, r in enumerate(rs.positive_roots)}
     # 6 kappa(a, a), an integer
-    length = {c: int(6 * kappa(rs, r, r)) for c, r in root_of.items()}
+    length = {c: rs.inner(r, r) for c, r in root_of.items()}
     npos: dict[tuple[int, int], int] = {}
 
     def scaled(n: int, num: int, den: int) -> int:
@@ -255,8 +255,9 @@ def build_chevalley(rs: RootSystem) -> ChevalleyAlgebra:
                 coroot[i] = val
         ad[x][code_index[-rs.root_code[beta]]] = coroot
         for i in range(n):
-            val = pairing(rs, beta, rs.simple(i + 1))
-            if not isinstance(val, int):
+            # <beta|alpha_i>; form[i][i] is 6 kappa(alpha_i, alpha_i)
+            val, rem = divmod(2 * rs.inner(beta, rs.simple(i + 1)), rs.form[i][i])
+            if rem:
                 raise InvariantViolation(f"<{beta}|alpha_{i + 1}> must be an integer")
             if val:
                 ad[i][x] = {x: val}
@@ -396,11 +397,9 @@ class Subspace:
 # oracle operations
 
 
-def subspace_from_rootset(ca: ChevalleyAlgebra, root_set, include_cartan: bool) -> Subspace:
-    """Span of the named root vectors, plus the full Cartan if requested."""
-    vecs: list[Vec] = []
-    if include_cartan:
-        vecs.extend({i: 1} for i in range(ca.rs.rank))
+def subspace_from_rootset(ca: ChevalleyAlgebra, root_set) -> Subspace:
+    """Span of the full Cartan and the named root vectors."""
+    vecs: list[Vec] = [{i: 1} for i in range(ca.rs.rank)]
     for beta in root_set:
         vecs.append({ca.root_index[beta]: 1})
     return Subspace(ca.dim, vecs)
@@ -498,8 +497,8 @@ def cross_check(rs: RootSystem, q_roots, sigma_q, fast_levels, fast_minimal: boo
     kernel is solved once, as a step of ``oracle_filtration``.  Reads root
     sets only; raises InvariantViolation naming the first disagreement."""
     ca = build_chevalley(rs)
-    sq_sub = subspace_from_rootset(ca, sigma_q, True)
-    levels = oracle_filtration(ca, subspace_from_rootset(ca, q_roots, True), sq_sub)
+    sq_sub = subspace_from_rootset(ca, sigma_q)
+    levels = oracle_filtration(ca, subspace_from_rootset(ca, q_roots), sq_sub)
     if len(levels) != len(fast_levels):
         raise InvariantViolation(
             f"oracle chain has {len(levels)} levels, fast path {len(fast_levels)}"
@@ -513,6 +512,6 @@ def cross_check(rs: RootSystem, q_roots, sigma_q, fast_levels, fast_minimal: boo
                 f"oracle level {k} lacks {len(fast - roots)} and adds {len(roots - fast)} "
                 "roots against the fast path"
             )
-    minimal = oracle_minimality(ca, subspace_from_rootset(ca, q_roots | sigma_q, True))
+    minimal = oracle_minimality(ca, subspace_from_rootset(ca, q_roots | sigma_q))
     if minimal != fast_minimal:
         raise InvariantViolation(f"oracle minimality {minimal}, fast path {fast_minimal}")

@@ -14,15 +14,7 @@ import sys
 from dataclasses import asdict, dataclass
 
 from .chevalley import cross_check
-from .cralgebra import (
-    ORBIT_CR,
-    analyze,
-    filtration,
-    geometry,
-    holomorphic_degeneracy_witness,
-    is_minimal,
-    nondegeneracy_order,
-)
+from .cralgebra import ORBIT_CR, analyze, evaluate
 from .involution import (
     InvolutionData,
     InvolutionError,
@@ -176,9 +168,8 @@ class AnalysisReport:
 def build_report(rs: RootSystem, q: ParabolicData, sigma: InvolutionData,
                  run_oracle: bool) -> AnalysisReport:
     cr = analyze(rs, q, sigma)
-    geo = geometry(cr)
-    filt = filtration(cr)
-    order = nondegeneracy_order(cr)
+    geo = cr.geometry
+    result = evaluate(cr)
     chain = None
     if isinstance(sigma.provenance, tuple):
         prov = "cayley"
@@ -188,13 +179,11 @@ def build_report(rs: RootSystem, q: ParabolicData, sigma: InvolutionData,
     degenerate = None
     witness = None
     if geo.orbit_type == ORBIT_CR:
-        w = holomorphic_degeneracy_witness(cr)
-        degenerate = w is not None
-        if w is not None:
-            witness = _root_strings(rs, w)
-    minimal = is_minimal(cr)
+        degenerate = result.witness is not None
+        if degenerate:
+            witness = _root_strings(rs, result.witness)
     if run_oracle:
-        cross_check(rs, q.root_set, cr.sigma_q, filt.levels, minimal)
+        cross_check(rs, q.root_set, cr.sigma_q, result.filtration.levels, result.minimal)
     return AnalysisReport(
         family=rs.family,
         rank=rs.rank,
@@ -207,11 +196,11 @@ def build_report(rs: RootSystem, q: ParabolicData, sigma: InvolutionData,
         dimR_M=geo.dimR_M,
         cr_dim=geo.cr_dim,
         cr_codim=geo.cr_codim,
-        filtration=[_root_strings(rs, level) for level in filt.levels],
-        order=order if isinstance(order, int) else None,
+        filtration=[_root_strings(rs, level) for level in result.filtration.levels],
+        order=result.order if isinstance(result.order, int) else None,
         degenerate=degenerate,
         witness=witness,
-        minimal=minimal,
+        minimal=result.minimal,
         c_of_q=c_of_q(rs, q) if q.is_maximal else None,
         oracle_checked=run_oracle,
     )
@@ -277,9 +266,8 @@ def cmd_example_so7(_args=None) -> int:
     sigma = identity_involution(rs)
     for root in ((0, 1, 0), (1, 1, 1)):
         sigma = cayley_update(rs, sigma, root)
-    cr = analyze(rs, q, sigma)
-    filt = filtration(cr)
-    computed = [set(format_root(r) for r in level) for level in filt.levels]
+    result = evaluate(analyze(rs, q, sigma))
+    computed = [set(format_root(r) for r in level) for level in result.filtration.levels]
     ok = len(computed) == len(_SO7_LEVELS)
     for k in range(max(len(computed), len(_SO7_LEVELS))):
         got = computed[k] if k < len(computed) else set()
@@ -290,10 +278,9 @@ def cmd_example_so7(_args=None) -> int:
         missing = " ".join(sorted(want - got)) or "-"
         surplus = " ".join(sorted(got - want)) or "-"
         print(f"level {k} mismatch: missing {missing}; unexpected {surplus}")
-    order = nondegeneracy_order(cr)
-    if order != 3:
+    if result.order != 3:
         ok = False
-        print(f"order mismatch: expected 3, got {order}")
+        print(f"order mismatch: expected 3, got {result.order}")
     if not ok:
         print("so(7) hypersurface self-test FAILED")
         return 1

@@ -12,6 +12,11 @@ Cartan part is implicit since it lies in every level.  The filtration
 decides the order of nondegeneracy, holomorphic degeneracy, and together
 with the addition closure of q + sigma(q), minimality.
 
+``analyze`` builds the root sets of a case and reads its dimensions and
+orbit type off their sizes; ``evaluate`` then computes every answer of
+the case once (filtration, order, degeneracy witness, minimality).  The
+CLI and the survey read every answer from these two and derive none.
+
 sigma reaches this module already validated: ``involution._involution``
 checks that it is a linear involution of Phi.  So every fact that follows
 from sigma permuting the roots (sigma-stability of q^inf, of q + sigma(q)
@@ -24,7 +29,6 @@ theorems about the filtration and the witness.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .involution import InvolutionData
 from .parabolic import ParabolicData, check_root_set_closed
@@ -41,26 +45,6 @@ class OrbitTypeError(ValueError):
 
 
 @dataclass(frozen=True)
-class CRAlgebraData:
-    rs: RootSystem
-    q: ParabolicData
-    sigma: InvolutionData
-    sigma_q: frozenset[Root]    # sigma(Phi(q))
-    q_plus: frozenset[Root]     # Phi(q) | sigma(Phi(q))
-    q_infty: frozenset[Root]    # Phi(q) & sigma(Phi(q))
-    gamma_set: frozenset[Root]  # Phi minus q_plus
-
-
-@dataclass(frozen=True)
-class FiltrationResult:
-    levels: tuple[frozenset[Root], ...]
-    stationary_index: int
-    reached_infty: bool
-    order_k: int | None
-    kernel_dims: tuple[int, ...]   # |level| - |q_infty| per level
-
-
-@dataclass(frozen=True)
 class GeometryReport:
     dim_Z: int
     dimR_M: int
@@ -69,27 +53,63 @@ class GeometryReport:
     orbit_type: str
 
 
+@dataclass(frozen=True)
+class CRAlgebraData:
+    rs: RootSystem
+    q: ParabolicData
+    sigma: InvolutionData
+    sigma_q: frozenset[Root]    # sigma(Phi(q))
+    q_plus: frozenset[Root]     # Phi(q) | sigma(Phi(q))
+    q_infty: frozenset[Root]    # Phi(q) & sigma(Phi(q))
+    geometry: GeometryReport
+
+
+@dataclass(frozen=True)
+class FiltrationResult:
+    levels: tuple[frozenset[Root], ...]
+    stationary_index: int
+    reached_infty: bool
+    kernel_dims: tuple[int, ...]   # |level| - |q_infty| per level
+
+
+@dataclass(frozen=True)
+class CaseResult:
+    filtration: FiltrationResult
+    order: int | str                  # k, "degenerate", "open" or "totally_real"
+    witness: frozenset[Root] | None   # degenerate CR orbits only
+    minimal: bool
+
+
 def analyze(rs: RootSystem, q: ParabolicData, sigma: InvolutionData) -> CRAlgebraData:
-    """Assemble the cached root sets: one sigma image per root of q.
+    """Assemble the root sets of a case, one sigma image per root of q,
+    and read its dimensions and orbit type off their sizes.
 
     The involution constructor has already checked that sigma is a
     linear involution of Phi, so these hold without a check here:
     sigma(q^inf) = q^inf and sigma(q + sigma(q)) = q + sigma(q), since
     sigma(q & sigma(q)) = sigma(q) & q; |q + sigma(q)| = 2|q| - |q^inf|,
-    since |sigma(q)| = |q|; a lone transversal root is sigma-fixed, since
-    Phi minus q + sigma(q) is sigma-stable.  The closedness of q^inf is
-    implied too (q is closed and sigma is linear), but it is still
-    checked here.  Dropping it speeds the sweep benchmark up so far that
-    the harness, whose own memory grows with each repetition it keeps,
-    reports a peak RSS beyond its bound; it goes once the benchmark
-    measures each interpreter's own peak (ROADMAP item 1)."""
+    since |sigma(q)| = |q|, which is also dim M = 2 CR-dim + CR-codim; a
+    lone transversal root is sigma-fixed, since Phi minus q + sigma(q) is
+    sigma-stable.  The closedness of q^inf is implied too (q is closed
+    and sigma is linear), but it is still checked here.  Dropping it
+    speeds the sweep benchmark up so far that the harness, whose own
+    memory grows with each repetition it keeps, reports a peak RSS beyond
+    its bound; it goes once the benchmark measures each interpreter's own
+    peak (ROADMAP item 1)."""
     q_roots = q.root_set
     sigma_q = frozenset(map(sigma.apply, q_roots))
     q_plus = q_roots | sigma_q
     q_infty = q_roots & sigma_q
-    gamma_set = frozenset(rs.roots) - q_plus
     if not check_root_set_closed(rs, q_infty):
         raise InvariantViolation("q^inf must be closed under root addition")
+    n_roots = len(rs.roots)
+    cr_codim = n_roots - len(q_plus)
+    if cr_codim == 0:
+        orbit = ORBIT_OPEN
+    elif q_plus == q_roots:
+        orbit = ORBIT_TOTALLY_REAL
+    else:
+        orbit = ORBIT_CR
     return CRAlgebraData(
         rs=rs,
         q=q,
@@ -97,27 +117,13 @@ def analyze(rs: RootSystem, q: ParabolicData, sigma: InvolutionData) -> CRAlgebr
         sigma_q=sigma_q,
         q_plus=q_plus,
         q_infty=q_infty,
-        gamma_set=gamma_set,
-    )
-
-
-def geometry(cr: CRAlgebraData) -> GeometryReport:
-    """Dimensions and orbit type read off the root-set sizes.  dim M =
-    2 CR-dim + CR-codim is inclusion-exclusion for q and sigma(q), which
-    have the same size because sigma is a bijection of Phi."""
-    n_roots = len(cr.rs.roots)
-    dim_z = n_roots - len(cr.q.root_set)
-    dim_m = n_roots - len(cr.q_infty)
-    cr_dim = len(cr.q.root_set) - len(cr.q_infty)
-    cr_codim = n_roots - len(cr.q_plus)
-    if cr_codim == 0:
-        orbit = ORBIT_OPEN
-    elif cr.q_plus == cr.q.root_set:
-        orbit = ORBIT_TOTALLY_REAL
-    else:
-        orbit = ORBIT_CR
-    return GeometryReport(
-        dim_Z=dim_z, dimR_M=dim_m, cr_dim=cr_dim, cr_codim=cr_codim, orbit_type=orbit
+        geometry=GeometryReport(
+            dim_Z=n_roots - len(q_roots),
+            dimR_M=n_roots - len(q_infty),
+            cr_dim=len(q_roots) - len(q_infty),
+            cr_codim=cr_codim,
+            orbit_type=orbit,
+        ),
     )
 
 
@@ -153,7 +159,6 @@ def filter_levels(rs: RootSystem, q_roots: frozenset[Root], sigma_q: frozenset[R
     return levels
 
 
-@lru_cache(maxsize=1024)
 def filtration(cr: CRAlgebraData) -> FiltrationResult:
     """Compute the kernel filtration and validate its invariants."""
     levels = filter_levels(cr.rs, cr.q.root_set, cr.sigma_q)
@@ -162,53 +167,25 @@ def filtration(cr: CRAlgebraData) -> FiltrationResult:
             raise InvariantViolation("every level must contain q^inf")
         if not check_root_set_closed(cr.rs, level):
             raise InvariantViolation("every level must be closed under root addition")
-    stationary = len(levels) - 1
-    reached = levels[-1] == cr.q_infty
-    order_k = stationary if reached and stationary >= 1 else None
-    kernel_dims = tuple(len(level) - len(cr.q_infty) for level in levels)
     return FiltrationResult(
         levels=tuple(levels),
-        stationary_index=stationary,
-        reached_infty=reached,
-        order_k=order_k,
-        kernel_dims=kernel_dims,
+        stationary_index=len(levels) - 1,
+        reached_infty=levels[-1] == cr.q_infty,
+        kernel_dims=tuple(len(level) - len(cr.q_infty) for level in levels),
     )
 
 
-def nondegeneracy_order(cr: CRAlgebraData):
-    """Order of finite nondegeneracy.
-
-    Returns "open" or "totally_real" for the extreme orbit types, the
-    integer k when the filtration strictly descends to q^inf at step k,
-    and "degenerate" when it stabilizes strictly above q^inf.
-    """
-    orbit = geometry(cr).orbit_type
-    if orbit == ORBIT_OPEN:
-        return ORBIT_OPEN
-    if orbit == ORBIT_TOTALLY_REAL:
-        return ORBIT_TOTALLY_REAL
-    f = filtration(cr)
-    if not f.reached_infty:
-        return DEGENERATE
-    k = f.stationary_index
-    if not 1 <= k <= len(cr.q.root_set) - len(cr.q_infty):
-        raise InvariantViolation(f"order {k} must lie in 1..cr_dim")
-    return k
-
-
-def holomorphic_degeneracy_witness(cr: CRAlgebraData) -> frozenset[Root] | None:
-    """For a degenerate CR orbit, an intermediate bracket-closed root set
-    r with Phi(q) strictly inside r inside q_plus; None when the orbit is
-    finitely nondegenerate.  Raises OrbitTypeError for open or totally
-    real input."""
-    orbit = geometry(cr).orbit_type
+def holomorphic_degeneracy_witness(cr: CRAlgebraData, f: FiltrationResult) -> frozenset[Root] | None:
+    """For a degenerate CR orbit with filtration f, an intermediate
+    bracket-closed root set r with Phi(q) strictly inside r inside q_plus;
+    None when the orbit is finitely nondegenerate.  Raises OrbitTypeError
+    for open or totally real input."""
+    orbit = cr.geometry.orbit_type
     if orbit != ORBIT_CR:
         raise OrbitTypeError(f"degeneracy witness undefined for {orbit} orbits")
-    f = filtration(cr)
     if f.reached_infty:
         return None
-    stationary = f.levels[-1]
-    witness = cr.q.root_set | frozenset(cr.sigma.apply(b) for b in stationary)
+    witness = cr.q.root_set | frozenset(map(cr.sigma.apply, f.levels[-1]))
     if not check_root_set_closed(cr.rs, witness):
         raise InvariantViolation("the degeneracy witness must be closed under root addition")
     if not cr.q.root_set < witness <= cr.q_plus:
@@ -235,3 +212,27 @@ def is_minimal(cr: CRAlgebraData) -> bool:
     """True iff q + sigma(q) generates the whole algebra, i.e. the addition
     closure of its root content is all of Phi."""
     return addition_closure(cr.rs, cr.q_plus) == frozenset(cr.rs.roots)
+
+
+def evaluate(cr: CRAlgebraData) -> CaseResult:
+    """Every answer of an analyzed case, each computed once.
+
+    The order is the orbit type for open and totally real orbits; for a
+    CR orbit it is the integer k when the filtration strictly descends to
+    q^inf at step k, and "degenerate" when it stabilizes strictly above
+    q^inf, which is exactly when the orbit has a degeneracy witness.
+    """
+    f = filtration(cr)
+    geo = cr.geometry
+    witness = None
+    if geo.orbit_type != ORBIT_CR:
+        order = geo.orbit_type
+    else:
+        witness = holomorphic_degeneracy_witness(cr, f)
+        if not f.reached_infty:
+            order = DEGENERATE
+        else:
+            order = f.stationary_index
+            if not 1 <= order <= geo.cr_dim:
+                raise InvariantViolation(f"order {order} must lie in 1..cr_dim")
+    return CaseResult(filtration=f, order=order, witness=witness, minimal=is_minimal(cr))

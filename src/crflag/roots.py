@@ -7,8 +7,8 @@ last one is long, for G2 the first one is short).  The invariant form
 kappa is normalized so that long roots have squared length 2, and it is
 stored as the integer Gram matrix of 6 kappa on the simple roots (6
 clears every denominator: short roots have kappa 1, or 2/3 in G2), so
-every inner product is an exact ``int``.  ``kappa`` divides it by 6 as a
-``Fraction``; the Cartan pairing <beta|gamma> of two roots is an integer.
+every inner product ``RootSystem.inner`` is an exact ``int``; the Cartan
+pairing <beta|gamma> of two roots is an integer.
 
 Each root also has one integer code, code(beta) = sum_i beta_i B^i with
 B = 4 * 6 + 1 = 25.  The code is linear, so code(alpha + beta) =
@@ -24,7 +24,6 @@ Chevalley structure constants add and subtract codes, not tuples.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from operator import add
 
@@ -80,9 +79,6 @@ class RootSystem:
         if not 1 <= i <= self.rank:
             raise ValueError(f"simple root index {i} out of range 1..{self.rank}")
         return tuple(int(j == i - 1) for j in range(self.rank))
-
-    def is_root(self, v: Root) -> bool:
-        return v in self.root_lookup
 
     def inner(self, beta: Root, gamma: Root) -> int:
         """6 kappa(beta, gamma), exact."""
@@ -232,11 +228,6 @@ def build_root_system(family: str, rank: int) -> RootSystem:
     return rs
 
 
-def kappa(rs: RootSystem, beta: Root, gamma: Root) -> Fraction:
-    """The invariant form on the root lattice (long roots have kappa=2)."""
-    return Fraction(rs.inner(beta, gamma), 6)
-
-
 @lru_cache(maxsize=None)
 def root_sum_table(rs: RootSystem) -> dict[Root, dict[Root, Root]]:
     """Precomputed root sums, per root: alpha -> {beta: alpha+beta} for
@@ -252,17 +243,17 @@ def root_sum_table(rs: RootSystem) -> dict[Root, dict[Root, Root]]:
     }
 
 
-def pairing(rs: RootSystem, beta: Root, gamma: Root):
-    """Cartan pairing <beta|gamma> = 2 kappa(beta,gamma) / kappa(gamma,gamma).
-
-    Returns an ``int`` when the value is integral (always the case for two
-    roots) and a ``Fraction`` otherwise.  gamma = 0 raises ZeroDivisionError.
-    """
+def pairing(rs: RootSystem, beta: Root, gamma: Root) -> int:
+    """Cartan pairing <beta|gamma> = 2 kappa(beta,gamma) / kappa(gamma,gamma),
+    an integer for two roots.  gamma = 0 raises ZeroDivisionError, and a
+    non-integral value raises ValueError."""
     denom = rs.inner(gamma, gamma)
     if denom == 0:
         raise ZeroDivisionError("pairing <.|gamma> needs kappa(gamma,gamma) != 0")
-    num = 2 * rs.inner(beta, gamma)
-    return num // denom if num % denom == 0 else Fraction(num, denom)
+    val, rem = divmod(2 * rs.inner(beta, gamma), denom)
+    if rem:
+        raise ValueError(f"the pairing <{beta}|{gamma}> is not an integer")
+    return val
 
 
 def highest_root(rs: RootSystem) -> Root:

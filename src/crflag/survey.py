@@ -1,8 +1,9 @@
 """Batch sweeps over (type, parabolic, involution) cases.
 
-Each case is analyzed with the root-combinatoric fast path; cases of
-small rank are additionally re-derived with the Chevalley oracle and the
-two answers compared level by level.  The sweep asserts the structural
+Each case is analyzed with the root-combinatoric fast path
+(``cralgebra.analyze``, then ``cralgebra.evaluate`` on the rows kept);
+cases of small rank are additionally re-derived with the Chevalley oracle
+and the two answers compared level by level.  The sweep asserts the structural
 theorems that hold for every admissible involution: on hypersurface
 orbits finite order forces a maximal parabolic and is bounded by
 c(q) + 1, and a maximal parabolic forces finite order plus minimality.
@@ -15,16 +16,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .chevalley import cross_check
-from .cralgebra import (
-    DEGENERATE,
-    ORBIT_CR,
-    analyze,
-    filtration,
-    geometry,
-    holomorphic_degeneracy_witness,
-    is_minimal,
-    nondegeneracy_order,
-)
+from .cralgebra import DEGENERATE, ORBIT_CR, analyze, evaluate
 from .involution import InvolutionData, enumerate_cayley_involutions
 from .parabolic import c_of_q, parabolic_from_subset
 from .roots import FAMILIES, build_root_system, format_root, is_valid_type
@@ -108,20 +100,20 @@ def run_survey(
 
 def _survey_case(rs, q, cq, sigma, hypersurface_only, oracle_max_rank, seen):
     cr = analyze(rs, q, sigma)
-    geo = geometry(cr)
+    geo = cr.geometry
     if hypersurface_only and geo.cr_codim != 1:
         return None
     label = provenance_label(sigma)
-    order = nondegeneracy_order(cr)
-    minimal = is_minimal(cr)
+    result = evaluate(cr)
+    order = result.order
+    minimal = result.minimal
     finite = isinstance(order, int)
 
     def violate(msg):
         raise TheoremViolation(msg, rs.family, rs.rank, q.qr, label)
 
     if geo.orbit_type == ORBIT_CR:
-        witness = holomorphic_degeneracy_witness(cr)
-        if (witness is not None) != (order == DEGENERATE):
+        if (result.witness is not None) != (order == DEGENERATE):
             violate("degeneracy witness disagrees with the filtration verdict")
         if geo.cr_codim == 1:
             if finite and not q.is_maximal:
@@ -140,7 +132,7 @@ def _survey_case(rs, q, cq, sigma, hypersurface_only, oracle_max_rank, seen):
     oracle_checked = rs.rank <= oracle_max_rank
     key = (rs.family, rs.rank, q.root_set, cr.sigma_q)
     if oracle_checked and key not in seen:
-        cross_check(rs, q.root_set, cr.sigma_q, filtration(cr).levels, minimal)
+        cross_check(rs, q.root_set, cr.sigma_q, result.filtration.levels, minimal)
         seen.add(key)
 
     return SurveyRow(

@@ -13,10 +13,9 @@ from crflag.cralgebra import (
     ORBIT_OPEN,
     ORBIT_TOTALLY_REAL,
     analyze,
+    evaluate,
     filtration,
-    geometry,
     is_minimal,
-    nondegeneracy_order,
 )
 from crflag.involution import (
     cayley_update,
@@ -77,9 +76,9 @@ def test_criterion_1_golden_so7_case():
         assert f.levels[1] == f.levels[2] | _roots(3, "-010", "-111")
         assert f.levels[0] == f.levels[1] | _roots(3, "-100", "-110", "001")
         assert len(f.levels) == 4
-        assert nondegeneracy_order(cr) == 3
+        assert evaluate(cr).order == 3
         assert f.kernel_dims == (6, 3, 1, 0)
-        geo = geometry(cr)
+        geo = cr.geometry
         assert geo.dim_Z == 7 and geo.cr_codim == 1
         assert is_minimal(cr)
         assert perf_counter() - start < 1.0
@@ -205,11 +204,11 @@ def test_criterion_7_small_instance_cross_checks():
         a1 = build_root_system("A", 1)
         borel = parabolic_from_subset(a1, set())
         split = analyze(a1, borel, identity_involution(a1))
-        assert geometry(split).orbit_type == ORBIT_TOTALLY_REAL
-        assert nondegeneracy_order(split) == ORBIT_TOTALLY_REAL
+        assert split.geometry.orbit_type == ORBIT_TOTALLY_REAL
+        assert evaluate(split).order == ORBIT_TOTALLY_REAL
         flipped = analyze(a1, borel, cayley_update(a1, identity_involution(a1), (1,)))
-        assert geometry(flipped).orbit_type == ORBIT_OPEN
-        assert nondegeneracy_order(flipped) == ORBIT_OPEN
+        assert flipped.geometry.orbit_type == ORBIT_OPEN
+        assert evaluate(flipped).order == ORBIT_OPEN
         assert flipped.q_plus == frozenset(a1.roots)
 
         # A2: the order-1 sphere of the swap involution
@@ -221,8 +220,8 @@ def test_criterion_7_small_instance_cross_checks():
         f = filtration(cr)
         assert f.levels == (q.root_set, negatives)
         assert cr.q_infty == negatives
-        assert nondegeneracy_order(cr) == 1
-        geo = geometry(cr)
+        assert evaluate(cr).order == 1
+        geo = cr.geometry
         assert (geo.dim_Z, geo.dimR_M, geo.cr_dim, geo.cr_codim) == (2, 3, 1, 1)
         assert is_minimal(cr)
 
@@ -231,6 +230,6 @@ def test_criterion_7_small_instance_cross_checks():
         open_cr = analyze(a2, parabolic_from_subset(a2, set()),
                           involution_from_matrix(a2, ((0, -1), (-1, 0))))
         assert open_cr.q_plus == frozenset(a2.roots)
-        assert geometry(open_cr).orbit_type == ORBIT_OPEN
+        assert open_cr.geometry.orbit_type == ORBIT_OPEN
 
     _check(7, "A1/A2 hand enumerations reproduce exactly", body)

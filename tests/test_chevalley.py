@@ -28,7 +28,7 @@ from crflag.involution import (
     involution_from_matrix,
 )
 from crflag.parabolic import parabolic_from_subset
-from crflag.roots import build_root_system, is_valid_type, kappa
+from crflag.roots import build_root_system, is_valid_type
 
 
 @pytest.fixture(scope="module")
@@ -144,12 +144,13 @@ def test_cross_check_leaves_the_adjoint_table_as_built(b3_case):
 def test_n_table_computes_each_root_length_once(monkeypatch):
     rs = build_root_system("F", 4)
     calls = []
+    inner = type(rs).inner
 
-    def counting_kappa(rs_, beta, gamma):
+    def counting_inner(self, beta, gamma):
         calls.append((beta, gamma))
-        return kappa(rs_, beta, gamma)
+        return inner(self, beta, gamma)
 
-    monkeypatch.setattr(chevalley, "kappa", counting_kappa)
+    monkeypatch.setattr(type(rs), "inner", counting_inner)
     chevalley._build_n_table(rs)
     assert sorted(calls) == sorted((beta, beta) for beta in rs.roots)
 
@@ -252,7 +253,7 @@ def test_levi_tensor_kernel_off_root_spaces():
     ca = build_chevalley(rs)
     q = parabolic_from_subset(rs, {1})
     cr = analyze(rs, q, involution_from_matrix(rs, ((0, 1), (1, 0))))
-    sq_sub = subspace_from_rootset(ca, cr.sigma_q, True)
+    sq_sub = subspace_from_rootset(ca, cr.sigma_q)
     level = Subspace(ca.dim, [{0: 1}, {1: 1}, {ca.root_index[(1, 0)]: 1, ca.root_index[(0, 1)]: 1}])
     ker = levi_tensor_kernel(ca, level, sq_sub)
     span = level.sum_with(sq_sub)
@@ -273,35 +274,35 @@ def test_levi_tensor_kernel_off_root_spaces():
 
 def test_subspace_from_rootset_dims(b3_case):
     _, ca, q, _ = b3_case
-    assert subspace_from_rootset(ca, q.root_set, True).dim == 14
-    assert subspace_from_rootset(ca, frozenset(), True).dim == 3
-    assert subspace_from_rootset(ca, frozenset(ca.rs.roots), True).dim == 21
+    assert subspace_from_rootset(ca, q.root_set).dim == 14
+    assert subspace_from_rootset(ca, frozenset()).dim == 3
+    assert subspace_from_rootset(ca, frozenset(ca.rs.roots)).dim == 21
 
 
 def test_oracle_filtration_golden_dims(b3_case):
     _, ca, q, cr = b3_case
-    q_sub = subspace_from_rootset(ca, q.root_set, True)
-    sq_sub = subspace_from_rootset(ca, cr.sigma_q, True)
+    q_sub = subspace_from_rootset(ca, q.root_set)
+    sq_sub = subspace_from_rootset(ca, cr.sigma_q)
     levels = oracle_filtration(ca, q_sub, sq_sub)
     assert [lv.dim for lv in levels] == [14, 11, 9, 8]
 
 
 def test_oracle_equals_fast_path_levels(b3_case):
     rs, ca, q, cr = b3_case
-    q_sub = subspace_from_rootset(ca, q.root_set, True)
-    sq_sub = subspace_from_rootset(ca, cr.sigma_q, True)
+    q_sub = subspace_from_rootset(ca, q.root_set)
+    sq_sub = subspace_from_rootset(ca, cr.sigma_q)
     levels = oracle_filtration(ca, q_sub, sq_sub)
     fast = filtration(cr)
     assert len(levels) == len(fast.levels)
     for sub, roots in zip(levels, fast.levels):
-        assert subspace_from_rootset(ca, roots, True) == sub
+        assert subspace_from_rootset(ca, roots) == sub
         content, cartan = subspace_root_content(ca, sub)
         assert content == roots and cartan == rs.rank
 
 
 def test_oracle_stops_immediately_when_sigma_q_is_q(b3_case):
     _, ca, q, _ = b3_case
-    q_sub = subspace_from_rootset(ca, q.root_set, True)
+    q_sub = subspace_from_rootset(ca, q.root_set)
     assert oracle_filtration(ca, q_sub, q_sub) == [q_sub]
 
 
@@ -310,8 +311,8 @@ def test_oracle_su21_dims():
     ca = build_chevalley(rs)
     q = parabolic_from_subset(rs, {1})
     cr = analyze(rs, q, involution_from_matrix(rs, ((0, 1), (1, 0))))
-    q_sub = subspace_from_rootset(ca, q.root_set, True)
-    sq_sub = subspace_from_rootset(ca, cr.sigma_q, True)
+    q_sub = subspace_from_rootset(ca, q.root_set)
+    sq_sub = subspace_from_rootset(ca, cr.sigma_q)
     levels = oracle_filtration(ca, q_sub, sq_sub)
     assert [lv.dim for lv in levels] == [6, 5]
     # Levi-nondegenerate: the first kernel is already the stationary level
@@ -320,8 +321,8 @@ def test_oracle_su21_dims():
 
 def test_levi_kernels_equal_levels(b3_case):
     _, ca, q, cr = b3_case
-    q_sub = subspace_from_rootset(ca, q.root_set, True)
-    sq_sub = subspace_from_rootset(ca, cr.sigma_q, True)
+    q_sub = subspace_from_rootset(ca, q.root_set)
+    sq_sub = subspace_from_rootset(ca, cr.sigma_q)
     levels = oracle_filtration(ca, q_sub, sq_sub)
     assert levi_tensor_kernel(ca, levels[0], sq_sub).dim == 11
     for k in range(1, len(levels)):
@@ -340,10 +341,10 @@ def test_cross_check_solves_each_level_once(b3_case, monkeypatch):
         return real(self, u, v)
 
     monkeypatch.setattr(ChevalleyAlgebra, "bracket", counting)
-    q_sub = subspace_from_rootset(ca, q.root_set, True)
-    sq_sub = subspace_from_rootset(ca, cr.sigma_q, True)
+    q_sub = subspace_from_rootset(ca, q.root_set)
+    sq_sub = subspace_from_rootset(ca, cr.sigma_q)
     oracle_filtration(ca, q_sub, sq_sub)
-    oracle_minimality(ca, subspace_from_rootset(ca, q.root_set | cr.sigma_q, True))
+    oracle_minimality(ca, subspace_from_rootset(ca, q.root_set | cr.sigma_q))
     alone = len(calls)
     calls.clear()
     cross_check(rs, q.root_set, cr.sigma_q, filtration(cr).levels, is_minimal(cr))
@@ -352,16 +353,16 @@ def test_cross_check_solves_each_level_once(b3_case, monkeypatch):
 
 def test_oracle_minimality(b3_case):
     _, ca, q, cr = b3_case
-    q_plus = subspace_from_rootset(ca, cr.q_plus, True)
+    q_plus = subspace_from_rootset(ca, cr.q_plus)
     assert oracle_minimality(ca, q_plus) == is_minimal(cr) is True
-    assert not oracle_minimality(ca, subspace_from_rootset(ca, q.root_set, True))
-    assert oracle_minimality(ca, subspace_from_rootset(ca, frozenset(ca.rs.roots), True))
+    assert not oracle_minimality(ca, subspace_from_rootset(ca, q.root_set))
+    assert oracle_minimality(ca, subspace_from_rootset(ca, frozenset(ca.rs.roots)))
 
 
 def test_levels_are_root_space_sums(b3_case):
     _, ca, q, cr = b3_case
-    q_sub = subspace_from_rootset(ca, q.root_set, True)
-    sq_sub = subspace_from_rootset(ca, cr.sigma_q, True)
+    q_sub = subspace_from_rootset(ca, q.root_set)
+    sq_sub = subspace_from_rootset(ca, cr.sigma_q)
     for sub in oracle_filtration(ca, q_sub, sq_sub):
         roots, cartan = subspace_root_content(ca, sub)
         assert cartan == 3
@@ -399,7 +400,7 @@ def test_oracle_minimality_equals_naive_loop_on_root_spaces():
                         if q_plus in seen:
                             continue
                         seen.add(q_plus)
-                        sub = subspace_from_rootset(ca, q_plus, True)
+                        sub = subspace_from_rootset(ca, q_plus)
                         verdict = oracle_minimality(ca, sub)
                         assert verdict == _naive_minimality(ca, sub), (family, rank, qr)
                         verdicts.add(verdict)
@@ -429,7 +430,7 @@ def test_oracle_minimality_brackets_each_pair_once_on_e8(monkeypatch):
     ca = build_chevalley(rs)
     sigma = cayley_update(rs, identity_involution(rs), (0, 0, 0, 0, 0, 0, 0, 1))
     cr = analyze(rs, parabolic_from_subset(rs, range(1, 8)), sigma)
-    q_plus = subspace_from_rootset(ca, cr.q_plus, True)
+    q_plus = subspace_from_rootset(ca, cr.q_plus)
     m = q_plus.dim
     assert m == 219
     calls = []

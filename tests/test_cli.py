@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from crflag import cli
+from crflag import cli, cralgebra
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -188,19 +188,20 @@ def test_example_so7_passes(capsys):
 
 
 def test_example_so7_detects_corruption(capsys, monkeypatch):
-    real = cli.filtration
+    # the self-test reads the filtration that evaluate computes; this one
+    # stops a level early, consistently, so it claims order 2
+    real = cralgebra.filtration
 
     def corrupted(cr):
         result = real(cr)
         return type(result)(
             levels=result.levels[:-1],
             stationary_index=result.stationary_index - 1,
-            reached_infty=False,
-            order_k=None,
+            reached_infty=True,
             kernel_dims=result.kernel_dims[:-1],
         )
 
-    monkeypatch.setattr(cli, "filtration", corrupted)
+    monkeypatch.setattr(cralgebra, "filtration", corrupted)
     code, out, _ = run_cli(capsys, "example-so7")
     assert code == 1
     assert "mismatch" in out
@@ -312,7 +313,7 @@ def test_internal_invariant_violation_exits_three(capsys, monkeypatch):
     def broken(cr):
         raise AssertionError("forced internal failure")
 
-    monkeypatch.setattr(cli, "filtration", broken)
+    monkeypatch.setattr(cralgebra, "filtration", broken)
     code, _, err = run_cli(capsys, *GOLDEN_ARGS)
     assert code == 3
     assert "internal" in err
@@ -331,10 +332,10 @@ def _python(*args, **kwargs):
 
 _TRUNCATED_SURVEY = """
 import dataclasses, sys
-from crflag import survey
+from crflag import cralgebra, survey
 from crflag.roots import InvariantViolation
-real = survey.filtration
-survey.filtration = lambda cr: dataclasses.replace(real(cr), levels=real(cr).levels[:-1])
+real = cralgebra.filtration
+cralgebra.filtration = lambda cr: dataclasses.replace(real(cr), levels=real(cr).levels[:-1])
 try:
     survey.run_survey(["B"], 3, 2, oracle_max_rank=3)
 except InvariantViolation:
@@ -343,8 +344,8 @@ except InvariantViolation:
 
 _WRONG_MINIMALITY = f"""
 import sys
-from crflag import cli
-cli.is_minimal = lambda cr: False
+from crflag import cli, cralgebra
+cralgebra.is_minimal = lambda cr: False
 sys.exit(cli.main({list(GOLDEN_ARGS) + ["--oracle"]!r}))
 """
 

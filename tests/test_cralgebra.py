@@ -1,7 +1,12 @@
+import gc
 import itertools
+import sys
+import weakref
 
 import pytest
 
+from crflag import cralgebra
+from crflag.cli import build_report
 from crflag.cralgebra import (
     DEGENERATE,
     ORBIT_CR,
@@ -10,12 +15,11 @@ from crflag.cralgebra import (
     OrbitTypeError,
     addition_closure,
     analyze,
+    evaluate,
     filter_levels,
     filtration,
-    geometry,
     holomorphic_degeneracy_witness,
     is_minimal,
-    nondegeneracy_order,
 )
 from crflag.involution import (
     InvolutionData,
@@ -25,7 +29,8 @@ from crflag.involution import (
     involution_from_matrix,
 )
 from crflag.parabolic import check_root_set_closed, parabolic_from_subset
-from crflag.roots import build_root_system, parse_root
+from crflag.roots import InvariantViolation, build_root_system, parse_root
+from crflag.survey import run_survey
 
 
 def _roots(rank, *strings):
@@ -51,7 +56,7 @@ def test_golden_q_infty(golden):
     rs, _, _, cr = golden
     assert cr.q_infty == _roots(3, *GOLDEN_INFTY)
     assert len(cr.q_infty) == 5
-    assert cr.gamma_set == _roots(3, "012")
+    assert frozenset(rs.roots) - cr.q_plus == _roots(3, "012")
 
 
 def test_identity_sigma_is_totally_real():
@@ -60,7 +65,7 @@ def test_identity_sigma_is_totally_real():
         q = parabolic_from_subset(rs, qr)
         cr = analyze(rs, q, identity_involution(rs))
         assert cr.q_infty == cr.q_plus == q.root_set
-        assert geometry(cr).orbit_type == ORBIT_TOTALLY_REAL
+        assert cr.geometry.orbit_type == ORBIT_TOTALLY_REAL
 
 
 def test_a1_borel_with_reflection_is_open():
@@ -70,13 +75,13 @@ def test_a1_borel_with_reflection_is_open():
     cr = analyze(rs, q, sigma)
     assert cr.sigma_q == _roots(1, "1")
     assert cr.q_plus == frozenset(rs.roots)
-    assert geometry(cr).orbit_type == ORBIT_OPEN
-    assert nondegeneracy_order(cr) == ORBIT_OPEN
+    assert cr.geometry.orbit_type == ORBIT_OPEN
+    assert evaluate(cr).order == ORBIT_OPEN
 
 
 def test_golden_geometry(golden):
     _, _, _, cr = golden
-    geo = geometry(cr)
+    geo = cr.geometry
     assert (geo.dim_Z, geo.dimR_M, geo.cr_dim, geo.cr_codim) == (7, 13, 6, 1)
     assert geo.orbit_type == ORBIT_CR
 
@@ -84,7 +89,7 @@ def test_golden_geometry(golden):
 def test_point_flag_manifold():
     rs = build_root_system("A", 2)
     q = parabolic_from_subset(rs, {1, 2})
-    geo = geometry(analyze(rs, q, identity_involution(rs)))
+    geo = analyze(rs, q, identity_involution(rs)).geometry
     assert geo.dim_Z == 0 and geo.cr_codim == 0
 
 
@@ -97,17 +102,18 @@ def test_golden_filtration(golden):
     assert f.levels[1] == f.levels[2] | _roots(3, "-010", "-111")
     assert f.levels[0] == f.levels[1] | _roots(3, "-100", "-110", "001")
     assert f.stationary_index == 3 and f.reached_infty
-    assert f.order_k == 3
+    assert evaluate(cr).order == 3
     assert f.kernel_dims == (6, 3, 1, 0)
 
 
 def test_identity_sigma_filtration_is_trivial():
     rs = build_root_system("B", 3)
     q = parabolic_from_subset(rs, {1, 3})
-    f = filtration(analyze(rs, q, identity_involution(rs)))
+    cr = analyze(rs, q, identity_involution(rs))
+    f = filtration(cr)
     assert f.levels == (q.root_set,)
     assert f.stationary_index == 0 and f.reached_infty
-    assert f.order_k is None
+    assert evaluate(cr).order == ORBIT_TOTALLY_REAL
 
 
 def test_su21_sphere_case():
@@ -120,24 +126,25 @@ def test_su21_sphere_case():
     assert cr.q_infty == negatives
     f = filtration(cr)
     assert f.levels == (q.root_set, negatives)
-    assert nondegeneracy_order(cr) == 1
-    geo = geometry(cr)
+    assert evaluate(cr).order == 1
+    geo = cr.geometry
     assert (geo.dim_Z, geo.dimR_M, geo.cr_dim, geo.cr_codim) == (2, 3, 1, 1)
     assert is_minimal(cr)
 
 
 def test_golden_order_and_minimality(golden):
     _, _, _, cr = golden
-    assert nondegeneracy_order(cr) == 3
+    result = evaluate(cr)
+    assert (result.order, result.minimal, result.witness) == (3, True, None)
     assert is_minimal(cr)
-    assert holomorphic_degeneracy_witness(cr) is None
+    assert holomorphic_degeneracy_witness(cr, filtration(cr)) is None
 
 
 def _first_degenerate_hypersurface(rs, qr):
     q = parabolic_from_subset(rs, qr)
     for sigma in enumerate_cayley_involutions(rs, 3):
         cr = analyze(rs, q, sigma)
-        geo = geometry(cr)
+        geo = cr.geometry
         if geo.orbit_type == ORBIT_CR and geo.cr_codim == 1:
             return cr
     return None
@@ -147,9 +154,11 @@ def test_non_maximal_hypersurface_is_degenerate():
     rs = build_root_system("B", 3)
     cr = _first_degenerate_hypersurface(rs, {1})
     assert cr is not None, "the Cayley sweep must produce a hypersurface case"
-    assert nondegeneracy_order(cr) == DEGENERATE
-    witness = holomorphic_degeneracy_witness(cr)
+    result = evaluate(cr)
+    assert result.order == DEGENERATE
+    witness = result.witness
     assert witness is not None
+    assert holomorphic_degeneracy_witness(cr, result.filtration) == witness
     assert check_root_set_closed(rs, witness)
     assert cr.q.root_set < witness <= cr.q_plus
 
@@ -159,7 +168,7 @@ def test_witness_gate_raises_off_cr():
     q = parabolic_from_subset(rs, {1, 3})
     cr = analyze(rs, q, identity_involution(rs))
     with pytest.raises(OrbitTypeError):
-        holomorphic_degeneracy_witness(cr)
+        holomorphic_degeneracy_witness(cr, filtration(cr))
 
 
 def test_witness_iff_degenerate_on_sweep():
@@ -168,10 +177,10 @@ def test_witness_iff_degenerate_on_sweep():
         q = parabolic_from_subset(rs, qr)
         for sigma in enumerate_cayley_involutions(rs, 2):
             cr = analyze(rs, q, sigma)
-            if geometry(cr).orbit_type != ORBIT_CR:
+            if cr.geometry.orbit_type != ORBIT_CR:
                 continue
-            order = nondegeneracy_order(cr)
-            witness = holomorphic_degeneracy_witness(cr)
+            result = evaluate(cr)
+            order, witness = result.order, result.witness
             assert (witness is not None) == (order == DEGENERATE)
             if isinstance(order, int):
                 assert 1 <= order <= len(q.root_set) - len(cr.q_infty)
@@ -242,13 +251,14 @@ def test_identities_analyze_takes_from_the_involution():
     cases = 0
     for rs, q, sigma in _depth_three_cases():
         cr = analyze(rs, q, sigma)
-        for roots in (cr.q_infty, cr.q_plus, cr.gamma_set):
+        transversal = frozenset(rs.roots) - cr.q_plus
+        for roots in (cr.q_infty, cr.q_plus, transversal):
             assert frozenset(map(sigma.apply, roots)) == roots
         assert len(cr.q_plus) == 2 * len(q.root_set) - len(cr.q_infty)
-        if len(cr.gamma_set) == 1:
-            (gamma,) = cr.gamma_set
+        if len(transversal) == 1:
+            (gamma,) = transversal
             assert sigma.fixes(gamma)
-        geo = geometry(cr)
+        geo = cr.geometry
         assert geo.dimR_M == 2 * geo.cr_dim + geo.cr_codim
         assert check_root_set_closed(rs, cr.q_infty)
         cases += 1
@@ -267,3 +277,61 @@ def test_analyze_applies_sigma_once_per_root_of_q(golden, monkeypatch):
     monkeypatch.setattr(InvolutionData, "apply", counting)
     analyze(rs, q, sigma)
     assert len(calls) == len(q.root_set)
+
+
+def _count_filtration_calls(monkeypatch):
+    """Wrap cralgebra.filtration in every crflag module that bound it by
+    name, as the benchmark's tracer does; the list gets one entry a call."""
+    real = cralgebra.filtration
+    calls = []
+
+    def counting(cr):
+        calls.append(None)
+        return real(cr)
+
+    for name, module in list(sys.modules.items()):
+        if name == "crflag" or name.startswith("crflag."):
+            for attr, value in list(vars(module).items()):
+                if value is real:
+                    monkeypatch.setattr(module, attr, counting)
+    return calls
+
+
+def test_survey_computes_the_filtration_once_per_kept_row(monkeypatch):
+    calls = _count_filtration_calls(monkeypatch)
+    rows = run_survey(["A", "B"], max_rank=3, involution_source=2,
+                      hypersurface_only=True, oracle_max_rank=3)
+    assert any(r.orbit_type == ORBIT_CR and r.oracle_checked for r in rows)
+    assert len(calls) == len(rows)
+
+
+def test_analyze_report_computes_the_filtration_once(golden, monkeypatch):
+    rs, q, sigma, _ = golden
+    calls = _count_filtration_calls(monkeypatch)
+    report = build_report(rs, q, sigma, run_oracle=True)
+    assert report.order == 3 and report.degenerate is False
+    assert len(calls) == 1
+
+
+def test_evaluate_keeps_no_case_alive(golden):
+    rs, q, sigma, _ = golden
+    cr = analyze(rs, q, sigma)
+    case = weakref.ref(cr)
+    result = evaluate(cr)
+    del cr
+    gc.collect()
+    assert case() is None
+    assert result.order == 3
+
+
+def test_evaluate_rejects_an_order_above_the_cr_dimension(golden, monkeypatch):
+    _, _, _, cr = golden
+    real = cralgebra.filtration
+
+    def too_long(cr_):
+        f = real(cr_)
+        return type(f)(f.levels, cr_.geometry.cr_dim + 1, True, f.kernel_dims)
+
+    monkeypatch.setattr(cralgebra, "filtration", too_long)
+    with pytest.raises(InvariantViolation, match="1..cr_dim"):
+        evaluate(cr)

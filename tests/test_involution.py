@@ -12,7 +12,7 @@ from crflag.involution import (
     involution_from_matrix,
     strongly_orthogonal,
 )
-from crflag.roots import build_root_system, kappa, pairing
+from crflag.roots import build_root_system, pairing
 
 
 def test_identity():
@@ -34,7 +34,7 @@ def test_from_matrix_a2_swap():
         assert img in rs.root_lookup
         assert swap.apply(img) == beta
         for gamma in rs.roots:
-            assert kappa(rs, img, swap.apply(gamma)) == kappa(rs, beta, gamma)
+            assert rs.inner(img, swap.apply(gamma)) == rs.inner(beta, gamma)
 
 
 def test_from_matrix_rejects_non_involutive():

@@ -7,12 +7,11 @@ from crflag.cralgebra import (
     ORBIT_CR,
     ORBIT_OPEN,
     analyze,
+    evaluate,
     filter_levels,
     filtration,
-    geometry,
     holomorphic_degeneracy_witness,
     is_minimal,
-    nondegeneracy_order,
 )
 from crflag.involution import (
     cayley_update,
@@ -22,7 +21,7 @@ from crflag.involution import (
     strongly_orthogonal,
 )
 from crflag.parabolic import c_of_q, check_root_set_closed, parabolic_from_subset
-from crflag.roots import build_root_system, kappa, pairing, root_sum_table
+from crflag.roots import build_root_system, pairing, root_sum_table
 
 SYSTEMS = [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("B", 3), ("C", 3), ("G", 2)]
 _RS = {key: build_root_system(*key) for key in SYSTEMS}
@@ -120,7 +119,7 @@ def test_filtration_invariants(case):
 def test_geometry_identities(case):
     rs, q, sigma = case
     cr = analyze(rs, q, sigma)
-    geo = geometry(cr)
+    geo = cr.geometry
     assert geo.dimR_M == 2 * geo.cr_dim + geo.cr_codim
     assert (geo.orbit_type == ORBIT_OPEN) == (geo.cr_codim == 0)
     assert geo.dim_Z == geo.cr_dim + geo.cr_codim  # complement of q in the algebra
@@ -131,10 +130,11 @@ def test_geometry_identities(case):
 def test_witness_iff_degenerate_and_order_bound(case):
     rs, q, sigma = case
     cr = analyze(rs, q, sigma)
-    if geometry(cr).orbit_type != ORBIT_CR:
+    if cr.geometry.orbit_type != ORBIT_CR:
         return
-    order = nondegeneracy_order(cr)
-    witness = holomorphic_degeneracy_witness(cr)
+    result = evaluate(cr)
+    order, witness = result.order, result.witness
+    assert witness == holomorphic_degeneracy_witness(cr, filtration(cr))
     assert (witness is not None) == (order == DEGENERATE)
     if witness is not None:
         assert check_root_set_closed(rs, witness)
@@ -148,10 +148,11 @@ def test_witness_iff_degenerate_and_order_bound(case):
 def test_maximal_cr_is_minimal_with_finite_order(case):
     rs, q, sigma = case
     cr = analyze(rs, q, sigma)
-    if not q.is_maximal or geometry(cr).orbit_type != ORBIT_CR:
+    if not q.is_maximal or cr.geometry.orbit_type != ORBIT_CR:
         return
-    assert isinstance(nondegeneracy_order(cr), int)
-    assert is_minimal(cr)
+    result = evaluate(cr)
+    assert isinstance(result.order, int)
+    assert result.minimal and is_minimal(cr)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -172,4 +173,4 @@ def test_reflection_closure_and_kappa_symmetry(key, data):
     gamma = data.draw(st.sampled_from(rs.roots))
     refl = tuple(b - pairing(rs, beta, gamma) * g for b, g in zip(beta, gamma))
     assert refl in rs.root_lookup
-    assert kappa(rs, beta, gamma) == kappa(rs, gamma, beta)
+    assert rs.inner(beta, gamma) == rs.inner(gamma, beta)

@@ -12,7 +12,6 @@ from crflag.roots import (
     format_root,
     highest_root,
     is_valid_type,
-    kappa,
     pairing,
     parse_root,
     root_sum_table,
@@ -172,6 +171,13 @@ def test_pairing_zero_gamma_raises():
         pairing(rs, (1, 0), (0, 0))
 
 
+def test_pairing_non_integral_raises():
+    # gamma = 2(alpha_1 + alpha_2) is not a root: <alpha_1|gamma> = 1/2
+    rs = build_root_system("A", 2)
+    with pytest.raises(ValueError, match="not an integer"):
+        pairing(rs, (1, 0), (2, 2))
+
+
 @pytest.mark.parametrize("family,rank", [
     ("A", 2), ("B", 3), ("G", 2), ("F", 4), ("E", 6), ("E", 8), ("C", 5), ("D", 6), ("A", 12),
 ])
@@ -264,7 +270,7 @@ def test_kappa_linearity():
             s = tuple(b + g for b, g in zip(beta, gamma))
             if s in rs.root_lookup:
                 for delta in rs.positive_roots:
-                    assert kappa(rs, s, delta) == kappa(rs, beta, delta) + kappa(rs, gamma, delta)
+                    assert rs.inner(s, delta) == rs.inner(beta, delta) + rs.inner(gamma, delta)
 
 
 @pytest.mark.parametrize("family,rank", [
@@ -273,7 +279,8 @@ def test_kappa_linearity():
 def test_kappa_of_highest_root_is_two(family, rank):
     rs = build_root_system(family, rank)
     top = highest_root(rs)
-    assert kappa(rs, top, top) == 2
+    # rs.inner is 6 kappa
+    assert rs.inner(top, top) == 6 * 2
 
 
 @pytest.mark.parametrize("family,rank,short,value", [
@@ -283,7 +290,7 @@ def test_kappa_of_highest_root_is_two(family, rank):
 def test_kappa_on_short_simple_roots(family, rank, short, value):
     rs = build_root_system(family, rank)
     alpha = rs.simple(short)
-    assert kappa(rs, alpha, alpha) == value
+    assert rs.inner(alpha, alpha) == 6 * value
 
 
 def test_reflection_closure():

@@ -32,7 +32,7 @@ from functools import lru_cache
 from itertools import chain
 from math import gcd, lcm
 
-from .roots import InvariantViolation, Root, RootSystem
+from .roots import InvariantViolation, Root, RootSystem, pairing
 
 Vec = dict[int, int]
 
@@ -255,10 +255,7 @@ def build_chevalley(rs: RootSystem) -> ChevalleyAlgebra:
                 coroot[i] = val
         ad[x][code_index[-rs.root_code[beta]]] = coroot
         for i in range(n):
-            # <beta|alpha_i>; form[i][i] is 6 kappa(alpha_i, alpha_i)
-            val, rem = divmod(2 * rs.inner(beta, rs.simple(i + 1)), rs.form[i][i])
-            if rem:
-                raise InvariantViolation(f"<{beta}|alpha_{i + 1}> must be an integer")
+            val = pairing(rs, beta, rs.simple(i + 1))
             if val:
                 ad[i][x] = {x: val}
                 ad[x][i] = {x: -val}

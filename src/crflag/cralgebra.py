@@ -160,8 +160,20 @@ def filter_levels(rs: RootSystem, q_roots: frozenset[Root], sigma_q: frozenset[R
 
 
 def filtration(cr: CRAlgebraData) -> FiltrationResult:
-    """Compute the kernel filtration and validate its invariants."""
-    levels = filter_levels(cr.rs, cr.q.root_set, cr.sigma_q)
+    """Compute the kernel filtration and validate its invariants.
+
+    Off CR orbits the chain is q alone: q + sigma(q) is all of Phi (open)
+    or q itself (totally real), so no bracket of q against sigma(q) leaves
+    q + sigma(q).  The oracle cross-check still compares it."""
+    q_roots = cr.q.root_set
+    if cr.geometry.orbit_type != ORBIT_CR:
+        return FiltrationResult(
+            levels=(q_roots,),
+            stationary_index=0,
+            reached_infty=q_roots == cr.q_infty,
+            kernel_dims=(len(q_roots) - len(cr.q_infty),),
+        )
+    levels = filter_levels(cr.rs, q_roots, cr.sigma_q)
     for level in levels:
         if not cr.q_infty <= level:
             raise InvariantViolation("every level must contain q^inf")

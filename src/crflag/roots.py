@@ -24,6 +24,7 @@ Chevalley structure constants add and subtract codes, not tuples.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from operator import add
 
@@ -228,6 +229,13 @@ def build_root_system(family: str, rank: int) -> RootSystem:
     return rs
 
 
+def kappa(rs: RootSystem, beta: Root, gamma: Root) -> Fraction:
+    """The invariant form on the root lattice (long roots have kappa=2).
+    The package reads ``RootSystem.inner`` instead; ``kappa`` stays while
+    the benchmark still declares its ``roots.kappa.self_s`` metric."""
+    return Fraction(rs.inner(beta, gamma), 6)
+
+
 @lru_cache(maxsize=None)
 def root_sum_table(rs: RootSystem) -> dict[Root, dict[Root, Root]]:
     """Precomputed root sums, per root: alpha -> {beta: alpha+beta} for
@@ -246,13 +254,13 @@ def root_sum_table(rs: RootSystem) -> dict[Root, dict[Root, Root]]:
 def pairing(rs: RootSystem, beta: Root, gamma: Root) -> int:
     """Cartan pairing <beta|gamma> = 2 kappa(beta,gamma) / kappa(gamma,gamma),
     an integer for two roots.  gamma = 0 raises ZeroDivisionError, and a
-    non-integral value raises ValueError."""
+    non-integral value raises InvariantViolation."""
     denom = rs.inner(gamma, gamma)
     if denom == 0:
         raise ZeroDivisionError("pairing <.|gamma> needs kappa(gamma,gamma) != 0")
     val, rem = divmod(2 * rs.inner(beta, gamma), denom)
     if rem:
-        raise ValueError(f"the pairing <{beta}|{gamma}> is not an integer")
+        raise InvariantViolation(f"the pairing <{beta}|{gamma}> is not an integer")
     return val
 
 

@@ -207,6 +207,28 @@ def test_example_so7_detects_corruption(capsys, monkeypatch):
     assert "mismatch" in out
 
 
+def test_example_so7_truncated_chain_short_of_q_infty_is_internal(capsys, monkeypatch):
+    # a chain that stops above q^inf makes the orbit look degenerate; the
+    # witness built from its last level is not closed under root addition,
+    # so evaluate raises before the self-test compares levels
+    real = cralgebra.filtration
+
+    def truncated(cr):
+        result = real(cr)
+        return type(result)(
+            levels=result.levels[:-1],
+            stationary_index=result.stationary_index - 1,
+            reached_infty=False,
+            kernel_dims=result.kernel_dims[:-1],
+        )
+
+    monkeypatch.setattr(cralgebra, "filtration", truncated)
+    code, out, err = run_cli(capsys, "example-so7")
+    assert code == 3
+    assert "internal" in err
+    assert "mismatch" not in out
+
+
 def test_survey_text(capsys):
     code, out, _ = run_cli(
         capsys, "survey", "--families", "A,B", "--max-rank", "2",

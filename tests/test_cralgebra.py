@@ -265,6 +265,24 @@ def test_identities_analyze_takes_from_the_involution():
     assert cases == 2_866
 
 
+def test_filtration_off_cr_orbits_is_the_full_chain():
+    # filtration returns q alone on open and totally real orbits without
+    # running the kernel steps; the steps reach the same chain
+    kinds = set()
+    for rs, q, sigma in _depth_three_cases():
+        cr = analyze(rs, q, sigma)
+        if cr.geometry.orbit_type == ORBIT_CR:
+            continue
+        kinds.add(cr.geometry.orbit_type)
+        levels = filter_levels(rs, q.root_set, cr.sigma_q)
+        f = filtration(cr)
+        assert f.levels == tuple(levels) == (q.root_set,)
+        assert f.stationary_index == 0
+        assert f.reached_infty == (levels[-1] == cr.q_infty)
+        assert f.kernel_dims == (len(q.root_set) - len(cr.q_infty),)
+    assert kinds == {ORBIT_OPEN, ORBIT_TOTALLY_REAL}
+
+
 def test_analyze_applies_sigma_once_per_root_of_q(golden, monkeypatch):
     rs, q, sigma, _ = golden
     calls = []

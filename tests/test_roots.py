@@ -174,7 +174,7 @@ def test_pairing_zero_gamma_raises():
 def test_pairing_non_integral_raises():
     # gamma = 2(alpha_1 + alpha_2) is not a root: <alpha_1|gamma> = 1/2
     rs = build_root_system("A", 2)
-    with pytest.raises(ValueError, match="not an integer"):
+    with pytest.raises(InvariantViolation, match="not an integer"):
         pairing(rs, (1, 0), (2, 2))
 
 
@@ -291,6 +291,7 @@ def test_kappa_on_short_simple_roots(family, rank, short, value):
     rs = build_root_system(family, rank)
     alpha = rs.simple(short)
     assert rs.inner(alpha, alpha) == 6 * value
+    assert roots.kappa(rs, alpha, alpha) == value
 
 
 def test_reflection_closure():

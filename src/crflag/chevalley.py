@@ -233,12 +233,8 @@ def build_chevalley(rs: RootSystem) -> ChevalleyAlgebra:
     if rs.rank > 8:
         raise ValueError("Chevalley construction is bounded at rank 8")
     n = rs.rank
-    root_index: dict[Root, int] = {}
-    basis_root: dict[int, Root] = {}
-    for beta, signed in sorted(rs.root_lookup.items(), key=lambda kv: (kv[1] < 0, abs(kv[1]))):
-        idx = n + len(root_index)
-        root_index[beta] = idx
-        basis_root[idx] = beta
+    root_index = {beta: idx for idx, beta in enumerate(rs.roots, start=n)}
+    basis_root = {idx: beta for beta, idx in root_index.items()}
     code_index = {rs.root_code[beta]: idx for beta, idx in root_index.items()}
     n_table = _build_n_table(rs)
 

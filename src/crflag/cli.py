@@ -11,10 +11,10 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 
 from .chevalley import cross_check
-from .cralgebra import ORBIT_CR, analyze, evaluate
+from .cralgebra import DEGENERATE, ORBIT_CR, analyze, evaluate
 from .involution import (
     InvolutionData,
     InvolutionError,
@@ -72,138 +72,83 @@ def _check_oracle_rank(rank: int, flag: str) -> None:
         raise UsageError(f"{flag}: the Chevalley oracle is bounded at rank 8, got {rank}")
 
 
-def _sorted_roots(rs: RootSystem, roots):
-    return sorted(roots, key=lambda r: (rs.root_lookup[r] < 0, abs(rs.root_lookup[r])))
-
-
 def _root_strings(rs: RootSystem, roots) -> list[str]:
-    return [format_root(r) for r in _sorted_roots(rs, roots)]
+    """The members of a root set, formatted, in the order of ``rs.roots``."""
+    return [format_root(r) for r in rs.roots if r in roots]
 
 
 # ---------------------------------------------------------------------------
 # analyze
 
 
-@dataclass
-class AnalysisReport:
-    family: str
-    rank: int
-    parabolic: tuple[int, ...]
-    sigma_provenance: str
-    sigma_chain: list[str] | None
-    sigma_matrix: tuple[tuple[int, ...], ...]
-    orbit_type: str
-    dim_Z: int
-    dimR_M: int
-    cr_dim: int
-    cr_codim: int
-    filtration: list[list[str]]
-    order: int | None
-    degenerate: bool | None
-    witness: list[str] | None
-    minimal: bool
-    c_of_q: int | None
-    oracle_checked: bool
-
-    def to_json_dict(self) -> dict:
-        sigma: dict = {"provenance": self.sigma_provenance,
-                       "matrix": [list(row) for row in self.sigma_matrix]}
-        if self.sigma_chain is not None:
-            sigma["chain"] = self.sigma_chain
-        out: dict = {
-            "family": self.family,
-            "rank": self.rank,
-            "parabolic": list(self.parabolic),
-            "sigma": sigma,
-            "orbit_type": self.orbit_type,
-            "dim_Z": self.dim_Z,
-            "dimR_M": self.dimR_M,
-            "cr_dim": self.cr_dim,
-            "cr_codim": self.cr_codim,
-            "filtration": self.filtration,
-            "minimal": self.minimal,
-            "oracle_checked": self.oracle_checked,
-        }
-        if self.order is not None:
-            out["order"] = self.order
-        if self.degenerate is not None:
-            out["degenerate"] = self.degenerate
-            if self.witness is not None:
-                out["witness"] = self.witness
-        if self.c_of_q is not None:
-            out["c_of_q"] = self.c_of_q
-        return out
-
-    def to_text(self) -> str:
-        lines = [
-            f"family: {self.family}",
-            f"rank: {self.rank}",
-            f"parabolic: {','.join(str(i) for i in self.parabolic) or '-'}",
-            f"sigma: {self.sigma_provenance}"
-            + (f" {'|'.join(self.sigma_chain)}" if self.sigma_chain else ""),
-            "sigma_matrix: "
-            + "|".join(",".join(str(x) for x in row) for row in self.sigma_matrix),
-            f"orbit_type: {self.orbit_type}",
-            f"dim_Z: {self.dim_Z}",
-            f"dimR_M: {self.dimR_M}",
-            f"cr_dim: {self.cr_dim}",
-            f"cr_codim: {self.cr_codim}",
-        ]
-        if self.order is not None:
-            lines.append(f"order: {self.order}")
-        if self.degenerate is not None:
-            lines.append(f"degenerate: {'true' if self.degenerate else 'false'}")
-            if self.witness is not None:
-                lines.append(f"witness: {' '.join(self.witness)}")
-        if self.c_of_q is not None:
-            lines.append(f"c_of_q: {self.c_of_q}")
-        lines.append(f"minimal: {'true' if self.minimal else 'false'}")
-        lines.append(f"oracle_checked: {'true' if self.oracle_checked else 'false'}")
-        lines.append("filtration:")
-        for k, level in enumerate(self.filtration):
-            lines.append(f"  q({k}): {' '.join(level)}")
-        return "\n".join(lines)
-
-
 def build_report(rs: RootSystem, q: ParabolicData, sigma: InvolutionData,
-                 run_oracle: bool) -> AnalysisReport:
+                 run_oracle: bool) -> dict:
+    """The analyze report of one case, as its JSON object.  Keys that do
+    not apply to the case are left out: ``order`` for open, totally real
+    and degenerate orbits, ``degenerate`` off CR orbits, ``witness`` unless
+    degenerate, ``c_of_q`` unless q is maximal."""
     cr = analyze(rs, q, sigma)
     geo = cr.geometry
     result = evaluate(cr)
-    chain = None
-    if isinstance(sigma.provenance, tuple):
-        prov = "cayley"
-        chain = [format_root(g) for g in sigma.provenance]
-    else:
-        prov = sigma.provenance
-    degenerate = None
-    witness = None
-    if geo.orbit_type == ORBIT_CR:
-        degenerate = result.witness is not None
-        if degenerate:
-            witness = _root_strings(rs, result.witness)
     if run_oracle:
         cross_check(rs, q.root_set, cr.sigma_q, result.filtration.levels, result.minimal)
-    return AnalysisReport(
-        family=rs.family,
-        rank=rs.rank,
-        parabolic=tuple(sorted(q.qr)),
-        sigma_provenance=prov,
-        sigma_chain=chain,
-        sigma_matrix=sigma.matrix,
-        orbit_type=geo.orbit_type,
-        dim_Z=geo.dim_Z,
-        dimR_M=geo.dimR_M,
-        cr_dim=geo.cr_dim,
-        cr_codim=geo.cr_codim,
-        filtration=[_root_strings(rs, level) for level in result.filtration.levels],
-        order=result.order if isinstance(result.order, int) else None,
-        degenerate=degenerate,
-        witness=witness,
-        minimal=result.minimal,
-        c_of_q=c_of_q(rs, q) if q.is_maximal else None,
-        oracle_checked=run_oracle,
-    )
+    sigma_report = {"provenance": sigma.provenance,
+                    "matrix": [list(row) for row in sigma.matrix]}
+    if isinstance(sigma.provenance, tuple):
+        sigma_report.update(provenance="cayley",
+                            chain=[format_root(g) for g in sigma.provenance])
+    report = {
+        "family": rs.family,
+        "rank": rs.rank,
+        "parabolic": sorted(q.qr),
+        "sigma": sigma_report,
+        "orbit_type": geo.orbit_type,
+        "dim_Z": geo.dim_Z,
+        "dimR_M": geo.dimR_M,
+        "cr_dim": geo.cr_dim,
+        "cr_codim": geo.cr_codim,
+        "filtration": [_root_strings(rs, level) for level in result.filtration.levels],
+        "minimal": result.minimal,
+        "oracle_checked": run_oracle,
+    }
+    if isinstance(result.order, int):
+        report["order"] = result.order
+    if geo.orbit_type == ORBIT_CR:
+        report["degenerate"] = result.witness is not None
+        if result.witness is not None:
+            report["witness"] = _root_strings(rs, result.witness)
+    if q.is_maximal:
+        report["c_of_q"] = c_of_q(rs, q)
+    return report
+
+
+def _report_text(report: dict) -> str:
+    """The text form of a ``build_report`` object: one ``key: value`` line
+    per present key, in a fixed order, then the filtration levels."""
+    def show(value) -> str:
+        if isinstance(value, bool):
+            return "true" if value else "false"
+        if isinstance(value, list):
+            return " ".join(value)
+        return str(value)
+
+    sigma = report["sigma"]
+    lines = [
+        f"family: {report['family']}",
+        f"rank: {report['rank']}",
+        f"parabolic: {','.join(str(i) for i in report['parabolic']) or '-'}",
+        f"sigma: {sigma['provenance']}"
+        + (f" {'|'.join(sigma['chain'])}" if "chain" in sigma else ""),
+        "sigma_matrix: " + "|".join(",".join(str(x) for x in row) for row in sigma["matrix"]),
+    ]
+    for key in ("orbit_type", "dim_Z", "dimR_M", "cr_dim", "cr_codim", "order",
+                "degenerate", "witness", "c_of_q", "minimal", "oracle_checked"):
+        if key in report:
+            lines.append(f"{key}: {show(report[key])}")
+    lines.append("filtration:")
+    for k, level in enumerate(report["filtration"]):
+        lines.append(f"  q({k}): {' '.join(level)}")
+    return "\n".join(lines)
 
 
 def _sigma_from_args(rs: RootSystem, args) -> InvolutionData:
@@ -242,10 +187,7 @@ def cmd_analyze(args) -> int:
         raise UsageError(f"--parabolic: {exc}") from exc
     sigma = _sigma_from_args(rs, args)
     report = build_report(rs, q, sigma, run_oracle=args.oracle)
-    if args.format == "json":
-        print(json.dumps(report.to_json_dict(), sort_keys=True))
-    else:
-        print(report.to_text())
+    print(json.dumps(report, sort_keys=True) if args.format == "json" else _report_text(report))
     return 0
 
 
@@ -266,8 +208,8 @@ def cmd_example_so7(_args=None) -> int:
     sigma = identity_involution(rs)
     for root in ((0, 1, 0), (1, 1, 1)):
         sigma = cayley_update(rs, sigma, root)
-    result = evaluate(analyze(rs, q, sigma))
-    computed = [set(format_root(r) for r in level) for level in result.filtration.levels]
+    report = build_report(rs, q, sigma, run_oracle=False)
+    computed = [set(level) for level in report["filtration"]]
     ok = len(computed) == len(_SO7_LEVELS)
     for k in range(max(len(computed), len(_SO7_LEVELS))):
         got = computed[k] if k < len(computed) else set()
@@ -278,9 +220,10 @@ def cmd_example_so7(_args=None) -> int:
         missing = " ".join(sorted(want - got)) or "-"
         surplus = " ".join(sorted(got - want)) or "-"
         print(f"level {k} mismatch: missing {missing}; unexpected {surplus}")
-    if result.order != 3:
+    order = report.get("order", DEGENERATE)  # the so(7) orbit is CR
+    if order != 3:
         ok = False
-        print(f"order mismatch: expected 3, got {result.order}")
+        print(f"order mismatch: expected 3, got {order}")
     if not ok:
         print("so(7) hypersurface self-test FAILED")
         return 1

@@ -65,10 +65,10 @@ def _involution(rs: RootSystem, images: dict[Root, Root], provenance) -> Involut
     q | sigma(q), and Phi minus q | sigma(q) is sigma-stable; linearity
     adds that sigma maps closed root sets to closed root sets.
     ``cralgebra.analyze`` relies on all of this without checking it."""
-    lookup = rs.root_lookup
+    codes = rs.root_code
     for beta in rs.roots:
         image = images[beta]
-        if image not in lookup:
+        if image not in codes:
             raise InvolutionError(f"the root set is not preserved (image of {beta} is not a root)")
         if images[image] != beta:
             raise InvolutionError(f"the map is not involutive (sigma(sigma({beta})) != {beta})")
@@ -84,7 +84,6 @@ def _involution(rs: RootSystem, images: dict[Root, Root], provenance) -> Involut
     # sigma(alpha_i) has the length of a root, and lattice vectors that
     # short have coefficients of at most 6 in every simple type, where
     # codes are injective; equal codes mean equal vectors.
-    codes = rs.root_code
     col_codes = [codes[c] for c in cols]
     for beta in rs.roots:
         if codes[images[beta]] != sum(map(mul, beta, col_codes)):
@@ -98,7 +97,7 @@ def identity_involution(rs: RootSystem) -> InvolutionData:
     return _involution(rs, {beta: beta for beta in rs.roots}, "identity")
 
 
-def involution_from_matrix(rs: RootSystem, matrix, provenance="explicit") -> InvolutionData:
+def involution_from_matrix(rs: RootSystem, matrix) -> InvolutionData:
     """Validate a rank x rank integer matrix as a root-lattice involution."""
     bad = [x for row in matrix for x in row if int(x) != x]
     if bad:
@@ -114,7 +113,7 @@ def involution_from_matrix(rs: RootSystem, matrix, provenance="explicit") -> Inv
 
     if any(image(cols[j]) != rs.simple(j + 1) for j in range(n)):
         raise InvolutionError("matrix is not involutive (M*M != id)")
-    return _involution(rs, {beta: image(beta) for beta in rs.roots}, provenance)
+    return _involution(rs, {beta: image(beta) for beta in rs.roots}, "explicit")
 
 
 def cayley_update(rs: RootSystem, sigma: InvolutionData, gamma: Root) -> InvolutionData:
@@ -127,7 +126,7 @@ def cayley_update(rs: RootSystem, sigma: InvolutionData, gamma: Root) -> Involut
     and -gamma coincide, so a second step at the same root undoes the
     first).  The result is re-validated against all involution invariants.
     """
-    if gamma not in rs.root_lookup:
+    if gamma not in rs.root_code:
         raise InvolutionError(f"Cayley root {gamma} is not a root")
     if sigma.apply(gamma) not in (gamma, tuple(-c for c in gamma)):
         raise InvolutionError(
@@ -156,11 +155,11 @@ def strongly_orthogonal(rs: RootSystem, gamma1: Root, gamma2: Root) -> bool:
     kappa(gamma1, gamma2) = 0; a root is never strongly orthogonal to
     itself."""
     for g in (gamma1, gamma2):
-        if g not in rs.root_lookup:
+        if g not in rs.root_code:
             raise ValueError(f"{g} is not a root")
     s = tuple(a + b for a, b in zip(gamma1, gamma2))
     d = tuple(a - b for a, b in zip(gamma1, gamma2))
-    if s in rs.root_lookup or d in rs.root_lookup:
+    if s in rs.root_code or d in rs.root_code:
         return False
     return rs.inner(gamma1, gamma2) == 0
 

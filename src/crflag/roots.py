@@ -56,10 +56,11 @@ class RootSystem:
     """Immutable root system data; safe to share between threads.
 
     ``form`` is the integer Gram matrix of 6 kappa on the simple roots.
-    ``root_lookup`` maps a coefficient tuple to a signed id: positive
-    roots get 1..N in construction order (by height, then lexicographic),
-    their negatives get the negated id.  ``root_code`` maps every root, in
-    the order of ``roots``, to its integer code (see the module docstring).
+    ``roots`` is the one root numbering: the positive roots in
+    construction order (by height, then lexicographic), then their
+    negatives in the same order.  ``root_code`` maps every root, in that
+    order, to its integer code (see the module docstring); membership in
+    it is the test for "is a root".
     """
 
     family: str
@@ -67,13 +68,8 @@ class RootSystem:
     cartan_matrix: tuple[tuple[int, ...], ...]
     positive_roots: tuple[Root, ...]
     form: tuple[tuple[int, ...], ...]
-    root_lookup: dict[Root, int]
     roots: tuple[Root, ...]
     root_code: dict[Root, int]
-
-    @property
-    def zero(self) -> Root:
-        return (0,) * self.rank
 
     def simple(self, i: int) -> Root:
         """The simple root alpha_i, 1-based."""
@@ -207,17 +203,12 @@ def build_root_system(family: str, rank: int) -> RootSystem:
         raise InvariantViolation("kappa must be symmetric")
     positives = _positive_closure(rank, cartan)
     negatives = {tuple(-c for c in beta): -code for beta, code in positives.items()}
-    lookup: dict[Root, int] = {}
-    for idx, (beta, minus) in enumerate(zip(positives, negatives), start=1):
-        lookup[beta] = idx
-        lookup[minus] = -idx
     rs = RootSystem(
         family=family,
         rank=rank,
         cartan_matrix=cartan,
         positive_roots=tuple(positives),
         form=form,
-        root_lookup=lookup,
         roots=tuple(positives) + tuple(negatives),
         root_code=positives | negatives,
     )

@@ -84,7 +84,7 @@ def test_n_table_chevalley_integrality():
         for (a, b), n in ca.n_table.items():
             p = 0
             v = tuple(x - y for x, y in zip(b, a))
-            while v in rs.root_lookup:
+            while v in rs.root_code:
                 p += 1
                 v = tuple(x - y for x, y in zip(v, a))
             assert abs(n) == p + 1

@@ -118,6 +118,103 @@ def test_analyze_text_golden_snapshot(capsys):
     )
 
 
+def test_analyze_json_golden_snapshot(capsys):
+    code, out, _ = run_cli(capsys, *GOLDEN_ARGS, "--format", "json")
+    assert code == 0
+    assert out == (
+        '{"c_of_q": 2, "cr_codim": 1, "cr_dim": 6, "degenerate": false, "dimR_M": 13, '
+        '"dim_Z": 7, "family": "B", "filtration": [["001", "100", "-001", "-010", "-100", '
+        '"-011", "-110", "-012", "-111", "-112", "-122"], ["100", "-001", "-010", "-011", '
+        '"-012", "-111", "-112", "-122"], ["100", "-001", "-011", "-012", "-112", "-122"], '
+        '["100", "-001", "-011", "-012", "-112"]], "minimal": true, "oracle_checked": false, '
+        '"orbit_type": "cr", "order": 3, "parabolic": [1, 3], "rank": 3, "sigma": {"chain": '
+        '["010", "111"], "matrix": [[-1, 0, 0], [-1, -1, 1], [-2, 0, 1]], "provenance": '
+        '"cayley"}}\n'
+    )
+
+
+def test_analyze_degenerate_text_snapshot(capsys):
+    # a degenerate CR orbit: a witness line and no order line
+    code, out, _ = run_cli(
+        capsys, "analyze", "--family", "B", "--rank", "3", "--parabolic", "1",
+        "--cayley", "1,0,0|1,2,2",
+    )
+    assert code == 0
+    assert out == (
+        "family: B\n"
+        "rank: 3\n"
+        "parabolic: 1\n"
+        "sigma: cayley 100|122\n"
+        "sigma_matrix: -1,0,0|0,-1,0|0,-2,1\n"
+        "orbit_type: cr\n"
+        "dim_Z: 8\n"
+        "dimR_M: 15\n"
+        "cr_dim: 7\n"
+        "cr_codim: 1\n"
+        "degenerate: true\n"
+        "witness: 010 100 110 -001 -010 -100 -011 -110 -012 -111 -112 -122\n"
+        "minimal: true\n"
+        "oracle_checked: false\n"
+        "filtration:\n"
+        "  q(0): 100 -001 -010 -100 -011 -110 -012 -111 -112 -122\n"
+        "  q(1): 100 -001 -100 -012 -112 -122\n"
+        "  q(2): 100 -001 -100 -012 -112\n"
+    )
+
+
+def test_analyze_split_text_snapshot(capsys):
+    # not a CR orbit: no order, degenerate or witness line
+    code, out, _ = run_cli(
+        capsys, "analyze", "--family", "B", "--rank", "3", "--parabolic", "1,3", "--split",
+    )
+    assert code == 0
+    assert out == (
+        "family: B\n"
+        "rank: 3\n"
+        "parabolic: 1,3\n"
+        "sigma: identity\n"
+        "sigma_matrix: 1,0,0|0,1,0|0,0,1\n"
+        "orbit_type: totally_real\n"
+        "dim_Z: 7\n"
+        "dimR_M: 7\n"
+        "cr_dim: 0\n"
+        "cr_codim: 7\n"
+        "c_of_q: 2\n"
+        "minimal: false\n"
+        "oracle_checked: false\n"
+        "filtration:\n"
+        "  q(0): 001 100 -001 -010 -100 -011 -110 -012 -111 -112 -122\n"
+    )
+
+
+def test_analyze_sigma_matrix_text_snapshot(capsys):
+    code, out, _ = run_cli(
+        capsys, "analyze", "--family", "A", "--rank", "2", "--parabolic", "1",
+        "--sigma-matrix", "0,1|1,0",
+    )
+    assert code == 0
+    assert out == (
+        "family: A\n"
+        "rank: 2\n"
+        "parabolic: 1\n"
+        "sigma: explicit\n"
+        "sigma_matrix: 0,1|1,0\n"
+        "orbit_type: cr\n"
+        "dim_Z: 2\n"
+        "dimR_M: 3\n"
+        "cr_dim: 1\n"
+        "cr_codim: 1\n"
+        "order: 1\n"
+        "degenerate: false\n"
+        "c_of_q: 1\n"
+        "minimal: true\n"
+        "oracle_checked: false\n"
+        "filtration:\n"
+        "  q(0): 10 -01 -10 -11\n"
+        "  q(1): -01 -10 -11\n"
+    )
+
+
 def test_analyze_degenerate_case_reports_witness(capsys):
     # B3 with a non-maximal parabolic and a hypersurface involution; the
     # chain e1-e2, e1+e2 gives the same involution as the orthogonal but

@@ -327,7 +327,7 @@ def test_analyze_report_computes_the_filtration_once(golden, monkeypatch):
     rs, q, sigma, _ = golden
     calls = _count_filtration_calls(monkeypatch)
     report = build_report(rs, q, sigma, run_oracle=True)
-    assert report.order == 3 and report.degenerate is False
+    assert report["order"] == 3 and report["degenerate"] is False
     assert len(calls) == 1
 
 

@@ -31,7 +31,7 @@ def test_from_matrix_a2_swap():
     # checked by enumeration over all six roots
     for beta in rs.roots:
         img = swap.apply(beta)
-        assert img in rs.root_lookup
+        assert img in rs.root_code
         assert swap.apply(img) == beta
         for gamma in rs.roots:
             assert rs.inner(img, swap.apply(gamma)) == rs.inner(beta, gamma)

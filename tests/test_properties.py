@@ -172,5 +172,5 @@ def test_reflection_closure_and_kappa_symmetry(key, data):
     beta = data.draw(st.sampled_from(rs.roots))
     gamma = data.draw(st.sampled_from(rs.roots))
     refl = tuple(b - pairing(rs, beta, gamma) * g for b, g in zip(beta, gamma))
-    assert refl in rs.root_lookup
+    assert refl in rs.root_code
     assert rs.inner(beta, gamma) == rs.inner(gamma, beta)

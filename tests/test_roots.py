@@ -120,9 +120,9 @@ def test_a1_roots():
 
 def test_no_zero_and_negatives_present():
     rs = build_root_system("C", 3)
-    assert rs.zero not in rs.root_lookup
+    assert (0,) * rs.rank not in rs.root_code
     for beta in rs.positive_roots:
-        assert tuple(-c for c in beta) in rs.root_lookup
+        assert tuple(-c for c in beta) in rs.root_code
 
 
 @pytest.mark.parametrize(
@@ -189,7 +189,7 @@ def test_root_sum_table_lists_exactly_the_root_sums(family, rank):
         expected = {}
         for b in rs.roots:
             s = tuple(x + y for x, y in zip(a, b))
-            if s in rs.root_lookup:
+            if s in rs.root_code:
                 expected[b] = s
         assert list(table[a].items()) == list(expected.items())
 
@@ -235,7 +235,7 @@ def test_root_codes_are_the_base_expansion(family, rank):
     assert list(rs.root_code) == list(rs.roots)
     for beta, code in rs.root_code.items():
         assert code == sum(c * roots._CODE_BASE**i for i, c in enumerate(beta))
-        assert (code > 0) == (rs.root_lookup[beta] > 0)
+        assert (code > 0) == (beta in rs.positive_roots)
     assert max(max(map(abs, beta)) for beta in rs.roots) <= roots._MAX_COEFFICIENT
 
 
@@ -268,7 +268,7 @@ def test_kappa_linearity():
     for beta in rs.positive_roots:
         for gamma in rs.positive_roots:
             s = tuple(b + g for b, g in zip(beta, gamma))
-            if s in rs.root_lookup:
+            if s in rs.root_code:
                 for delta in rs.positive_roots:
                     assert rs.inner(s, delta) == rs.inner(beta, delta) + rs.inner(gamma, delta)
 
@@ -300,7 +300,7 @@ def test_reflection_closure():
         for beta in rs.roots:
             for gamma in rs.roots:
                 refl = tuple(b - pairing(rs, beta, gamma) * g for b, g in zip(beta, gamma))
-                assert refl in rs.root_lookup
+                assert refl in rs.root_code
 
 
 def test_root_strings_unbroken():
@@ -312,12 +312,12 @@ def test_root_strings_unbroken():
                 continue
             down = 0
             v = tuple(b - g for b, g in zip(beta, gamma))
-            while v in rs.root_lookup:
+            while v in rs.root_code:
                 down += 1
                 v = tuple(x - g for x, g in zip(v, gamma))
             up = 0
             v = tuple(b + g for b, g in zip(beta, gamma))
-            while v in rs.root_lookup:
+            while v in rs.root_code:
                 up += 1
                 v = tuple(x + g for x, g in zip(v, gamma))
             assert down - up == pairing(rs, beta, gamma)

@@ -7,12 +7,13 @@ extraspecial pairs and propagating every other sign through the Jacobi
 identity, in integer arithmetic throughout.  They go, with the Cartan
 eigenvalues and the coroots, into one sparse adjoint table ``ad`` that
 holds every non-zero bracket of two basis vectors and is complete once
-built; the construction verifies the Jacobi identity on basis triples
-afterwards (exhaustively up to rank 4, sampled above).
+built; it is the algebra's only table of structure constants.  The
+construction verifies the Jacobi identity on basis triples afterwards
+(exhaustively up to rank 4, sampled above).
 
 Subspaces are kept in a canonical integer echelon form (primitive rows,
-positive pivots, fully reduced), so subspace equality is plain equality
-of row tuples and every computation is exact.
+positive pivots, fully reduced), one row per pivot, so subspace equality
+is plain equality of the pivot -> row maps and every computation is exact.
 
 This module re-derives the kernel filtration and minimality by honest
 bracket arithmetic.  Each level of the filtration is the left kernel of
@@ -29,7 +30,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, combinations
 from math import gcd, lcm
 
 from .roots import InvariantViolation, Root, RootSystem, pairing
@@ -51,7 +52,7 @@ def _string_down(root_of: dict[int, Root], alpha: int, beta: int) -> int:
     return p
 
 
-def _build_n_table(rs: RootSystem) -> dict[tuple[Root, Root], int]:
+def _build_n_table(rs: RootSystem) -> dict[tuple[int, int], int]:
     """Constants N(alpha,beta) for every ordered pair with alpha+beta a root.
 
     Positive pairs are filled in increasing height of the sum; the
@@ -65,10 +66,12 @@ def _build_n_table(rs: RootSystem) -> dict[tuple[Root, Root], int]:
     its code is), and kappa(a,a) is computed once per root.  All arithmetic
     is on integers: the Jacobi step and a length ratio are exact divisions
     that raise on a remainder, and a ratio of equal lengths is not applied.
-    The keys of the returned table are the root tuples of ``rs``.
+    The keys of the returned table are pairs of root codes.
     """
     root_of = {c: r for r, c in rs.root_code.items()}
-    order = {rs.root_code[r]: i for i, r in enumerate(rs.positive_roots)}
+    # rs.positive_roots is ordered by height, then lexicographically
+    by_height = [rs.root_code[r] for r in rs.positive_roots]
+    order = {c: i for i, c in enumerate(by_height)}
     # 6 kappa(a, a), an integer
     length = {c: rs.inner(r, r) for c, r in root_of.items()}
     npos: dict[tuple[int, int], int] = {}
@@ -97,17 +100,15 @@ def _build_n_table(rs: RootSystem) -> dict[tuple[Root, Root], int]:
             return scaled(n_any(z, x), length[z], length[y])
         return scaled(n_any(y, z), length[z], length[x])
 
-    by_height = [rs.root_code[r] for r in sorted(rs.positive_roots, key=lambda r: (sum(r), r))]
-    # the first rank roots by height are the simple roots
-    for gamma in by_height[rs.rank:]:
+    # the first rank roots by height are the simple roots; the pairs of
+    # each sum come in increasing order of alpha, extraspecial first
+    for g in range(rs.rank, len(by_height)):
+        gamma = by_height[g]
         pairs = []
-        for alpha in by_height:
-            if order[alpha] >= order[gamma]:
-                break
+        for alpha in by_height[:g]:
             beta = gamma - alpha
             if beta in order and order[alpha] < order[beta]:
                 pairs.append((alpha, beta))
-        pairs.sort(key=lambda ab: order[ab[0]])
         if not pairs:
             raise InvariantViolation("every non-simple positive root is a sum of positive roots")
         ex_alpha, ex_beta = pairs[0]
@@ -146,7 +147,7 @@ def _build_n_table(rs: RootSystem) -> dict[tuple[Root, Root], int]:
             raise InvariantViolation(f"N(b,a) must be -N(a,b) for {(root_of[a], root_of[b])}")
         if table[(-a, -b)] != -n:
             raise InvariantViolation(f"N(-a,-b) must be -N(a,b) for {(root_of[a], root_of[b])}")
-    return {(root_of[a], root_of[b]): n for (a, b), n in table.items()}
+    return table
 
 
 @dataclass(frozen=True, eq=False)
@@ -157,15 +158,14 @@ class ChevalleyAlgebra:
     ``ad[i]`` maps j to [e_i, e_j] and holds only the non-zero brackets,
     namely the eigenvalues [h_i, x_alpha] = <alpha|alpha_i> in both orders,
     [x_alpha, x_{-alpha}] as the coroot of alpha in coroot coordinates, and
-    one entry per pair of ``n_table``.  It is complete when the algebra is
-    built; nothing fills in later.
+    [x_alpha, x_beta] = N(alpha,beta) x_(alpha+beta) whenever alpha+beta is
+    a root.  It is complete when the algebra is built; nothing fills in
+    later.  Basis coordinate rank + i is the root ``rs.roots[i]``.
     """
 
     rs: RootSystem
     dim: int
     root_index: dict[Root, int]          # root -> basis coordinate
-    basis_root: dict[int, Root]          # basis coordinate -> root
-    n_table: dict[tuple[Root, Root], int]
     ad: list[dict[int, Vec]]
 
     def bracket(self, u: Vec, v: Vec) -> Vec:
@@ -205,24 +205,14 @@ def jacobi_check(ca: ChevalleyAlgebra, sample: int | None = None) -> int:
     triples checked.  ``sample=None`` checks every i<j<k triple."""
     dim = ca.dim
     if sample is None:
-        triples = (
-            (i, j, k)
-            for i in range(dim)
-            for j in range(i + 1, dim)
-            for k in range(j + 1, dim)
-        )
-        count = 0
-        for t in triples:
-            if _jacobi_defect(ca, *t):
-                raise InvariantViolation(f"Jacobi fails on {t}")
-            count += 1
-        return count
-    rng = random.Random(20240 + dim)
+        triples = combinations(range(dim), 3)
+    else:
+        rng = random.Random(20240 + dim)
+        triples = (tuple(rng.sample(range(dim), 3)) for _ in range(sample))
     count = 0
-    for _ in range(sample):
-        i, j, k = rng.sample(range(dim), 3)
-        if _jacobi_defect(ca, i, j, k):
-            raise InvariantViolation(f"Jacobi fails on {(i, j, k)}")
+    for t in triples:
+        if _jacobi_defect(ca, *t):
+            raise InvariantViolation(f"Jacobi fails on {t}")
         count += 1
     return count
 
@@ -234,9 +224,7 @@ def build_chevalley(rs: RootSystem) -> ChevalleyAlgebra:
         raise ValueError("Chevalley construction is bounded at rank 8")
     n = rs.rank
     root_index = {beta: idx for idx, beta in enumerate(rs.roots, start=n)}
-    basis_root = {idx: beta for beta, idx in root_index.items()}
     code_index = {rs.root_code[beta]: idx for beta, idx in root_index.items()}
-    n_table = _build_n_table(rs)
 
     ad: list[dict[int, Vec]] = [{} for _ in range(n + len(rs.roots))]
     for beta in rs.roots:
@@ -255,17 +243,10 @@ def build_chevalley(rs: RootSystem) -> ChevalleyAlgebra:
             if val:
                 ad[i][x] = {x: val}
                 ad[x][i] = {x: -val}
-    for (a, b), nab in n_table.items():
-        ad[root_index[a]][root_index[b]] = {code_index[rs.root_code[a] + rs.root_code[b]]: nab}
+    for (a, b), nab in _build_n_table(rs).items():
+        ad[code_index[a]][code_index[b]] = {code_index[a + b]: nab}
 
-    ca = ChevalleyAlgebra(
-        rs=rs,
-        dim=n + len(rs.roots),
-        root_index=root_index,
-        basis_root=basis_root,
-        n_table=n_table,
-        ad=ad,
-    )
+    ca = ChevalleyAlgebra(rs=rs, dim=n + len(rs.roots), root_index=root_index, ad=ad)
     jacobi_check(ca, sample=None if rs.rank <= 4 else 4000)
     return ca
 
@@ -301,18 +282,19 @@ def _eliminate(row: Vec, by: Vec, col: int) -> Vec:
 class Subspace:
     """A rational subspace in canonical integer echelon form.
 
-    Rows are primitive integer vectors, fully reduced with positive
-    pivots; two Subspace objects are equal iff the spaces coincide.
-    ``scale`` is the lcm of the pivot entries.
+    ``rows`` maps each pivot, in increasing order, to its row: a
+    primitive integer vector, fully reduced, with a positive pivot entry.
+    Two Subspace objects are equal iff the spaces coincide.  ``scale`` is
+    the lcm of the pivot entries.
     """
 
-    __slots__ = ("ambient_dim", "rows", "pivots", "scale", "_by_pivot")
+    __slots__ = ("ambient_dim", "rows", "scale")
 
     def __init__(self, ambient_dim: int, vectors=()):
         self.ambient_dim = ambient_dim
         by_pivot: dict[int, Vec] = {}
         for v in vectors:
-            row = {c: int(x) for c, x in (v.items() if isinstance(v, dict) else v) if x}
+            row = {c: int(x) for c, x in v.items() if x}
             while row:
                 p = min(row)
                 if p in by_pivot:
@@ -328,19 +310,15 @@ class Subspace:
                 if q > p and q in row:
                     row = _eliminate(row, by_pivot[q], q)
             by_pivot[p] = _primitive(row)
-        self.pivots = tuple(pivots)
-        self.scale = lcm(*(by_pivot[p][p] for p in pivots))
-        self._by_pivot = {p: by_pivot[p] for p in pivots}
-        self.rows = tuple(
-            tuple(sorted(by_pivot[p].items())) for p in pivots
-        )
+        self.rows = {p: by_pivot[p] for p in pivots}
+        self.scale = lcm(*(row[p] for p, row in self.rows.items()))
 
     @property
     def dim(self) -> int:
         return len(self.rows)
 
     def row_vecs(self) -> list[Vec]:
-        return [dict(r) for r in self.rows]
+        return list(self.rows.values())
 
     def reduce(self, vec: Vec) -> Vec:
         """Residue of ``scale * vec`` modulo the subspace, with every pivot
@@ -349,7 +327,7 @@ class Subspace:
         ``vec`` at the others as they were."""
         out = {c: self.scale * v for c, v in vec.items() if v}
         for p, x in vec.items():
-            row = self._by_pivot.get(p)
+            row = self.rows.get(p)
             if row is None or not x:
                 continue
             f = self.scale * x // row[p]
@@ -367,7 +345,7 @@ class Subspace:
     def sum_with(self, other: "Subspace") -> "Subspace":
         if self.ambient_dim != other.ambient_dim:
             raise InvariantViolation("subspaces of different ambient spaces")
-        return Subspace(self.ambient_dim, list(self.rows) + list(other.rows))
+        return Subspace(self.ambient_dim, chain(self.rows.values(), other.rows.values()))
 
     def __eq__(self, other) -> bool:
         return (
@@ -377,10 +355,11 @@ class Subspace:
         )
 
     def __hash__(self) -> int:
-        return hash((self.ambient_dim, self.rows))
+        rows = tuple((p, frozenset(row.items())) for p, row in self.rows.items())
+        return hash((self.ambient_dim, rows))
 
     def __le__(self, other: "Subspace") -> bool:
-        return all(other.contains(dict(r)) for r in self.rows)
+        return all(other.contains(row) for row in self.rows.values())
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Subspace(dim={self.dim} of {self.ambient_dim})"
@@ -405,14 +384,13 @@ def subspace_root_content(ca: ChevalleyAlgebra, sub: Subspace) -> tuple[frozense
     n = ca.rs.rank
     roots = []
     cartan = 0
-    for row in sub.rows:
-        cols = [c for c, _ in row]
-        if all(c < n for c in cols):
+    for p, row in sub.rows.items():
+        if max(row) < n:
             cartan += 1
-        elif len(cols) != 1:
+        elif len(row) != 1:
             raise InvariantViolation("row mixes root spaces; subspace is not a root-space sum")
         else:
-            roots.append(ca.basis_root[cols[0]])
+            roots.append(ca.rs.roots[p - n])
     return frozenset(roots), cartan
 
 
@@ -438,7 +416,7 @@ def levi_tensor_kernel(ca: ChevalleyAlgebra, level: Subspace, sigma_q: Subspace)
         rows.append(row)
     solved = Subspace(offset + ca.dim, rows)
     return Subspace(ca.dim, [
-        {c - offset: v for c, v in row} for p, row in zip(solved.pivots, solved.rows) if p >= offset
+        {c - offset: v for c, v in row.items()} for p, row in solved.rows.items() if p >= offset
     ])
 
 

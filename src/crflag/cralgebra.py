@@ -69,7 +69,6 @@ class FiltrationResult:
     levels: tuple[frozenset[Root], ...]
     stationary_index: int
     reached_infty: bool
-    kernel_dims: tuple[int, ...]   # |level| - |q_infty| per level
 
 
 @dataclass(frozen=True)
@@ -171,7 +170,6 @@ def filtration(cr: CRAlgebraData) -> FiltrationResult:
             levels=(q_roots,),
             stationary_index=0,
             reached_infty=q_roots == cr.q_infty,
-            kernel_dims=(len(q_roots) - len(cr.q_infty),),
         )
     levels = filter_levels(cr.rs, q_roots, cr.sigma_q)
     for level in levels:
@@ -183,7 +181,6 @@ def filtration(cr: CRAlgebraData) -> FiltrationResult:
         levels=tuple(levels),
         stationary_index=len(levels) - 1,
         reached_infty=levels[-1] == cr.q_infty,
-        kernel_dims=tuple(len(level) - len(cr.q_infty) for level in levels),
     )
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .chevalley import cross_check
-from .cralgebra import DEGENERATE, ORBIT_CR, analyze, evaluate
+from .cralgebra import ORBIT_CR, analyze, evaluate
 from .involution import InvolutionData, enumerate_cayley_involutions
 from .parabolic import c_of_q, parabolic_from_subset
 from .roots import FAMILIES, build_root_system, format_root, is_valid_type
@@ -53,8 +53,6 @@ class SurveyRow:
 
 def provenance_label(sigma: InvolutionData) -> str:
     if isinstance(sigma.provenance, tuple):
-        if not sigma.provenance:
-            return "identity"
         return "|".join(format_root(g) for g in sigma.provenance)
     return sigma.provenance
 
@@ -113,13 +111,10 @@ def _survey_case(rs, q, cq, sigma, hypersurface_only, oracle_max_rank, seen):
         raise TheoremViolation(msg, rs.family, rs.rank, q.qr, label)
 
     if geo.orbit_type == ORBIT_CR:
-        if (result.witness is not None) != (order == DEGENERATE):
-            violate("degeneracy witness disagrees with the filtration verdict")
-        if geo.cr_codim == 1:
-            if finite and not q.is_maximal:
-                violate("finitely nondegenerate hypersurface with non-maximal parabolic")
-            if not q.is_maximal and order != DEGENERATE:
-                violate("non-maximal hypersurface case is not degenerate")
+        # on a CR orbit the order is finite or "degenerate", so this
+        # also says that a non-maximal hypersurface case is degenerate
+        if geo.cr_codim == 1 and finite and not q.is_maximal:
+            violate("finitely nondegenerate hypersurface with non-maximal parabolic")
         if q.is_maximal:
             if not finite:
                 violate("maximal parabolic CR case without finite order")

@@ -77,7 +77,7 @@ def test_criterion_1_golden_so7_case():
         assert f.levels[0] == f.levels[1] | _roots(3, "-100", "-110", "001")
         assert len(f.levels) == 4
         assert evaluate(cr).order == 3
-        assert f.kernel_dims == (6, 3, 1, 0)
+        assert [len(level - infty) for level in f.levels] == [6, 3, 1, 0]
         geo = cr.geometry
         assert geo.dim_Z == 7 and geo.cr_codim == 1
         assert is_minimal(cr)

@@ -60,20 +60,34 @@ def test_b3_dimension(b3_case):
     assert ca.dim == 21
 
 
+def _structure_constants(ca: ChevalleyAlgebra) -> dict:
+    """N(a,b) for every ordered pair of roots with a+b a root, read off the
+    adjoint table: [x_a, x_b] = N(a,b) x_(a+b)."""
+    table = {}
+    for a, i in ca.root_index.items():
+        for b, j in ca.root_index.items():
+            k = ca.root_index.get(tuple(x + y for x, y in zip(a, b)))
+            if k is not None:
+                [(col, n)] = ca.ad[i][j].items()
+                assert col == k
+                table[(a, b)] = n
+    return table
+
+
 def test_a2_n_constant():
     rs = build_root_system("A", 2)
     ca = build_chevalley(rs)
-    assert abs(ca.n_table[((1, 0), (0, 1))]) == 1
+    assert abs(_structure_constants(ca)[((1, 0), (0, 1))]) == 1
 
 
 def test_n_table_antisymmetry_and_negation():
     for family, rank in (("B", 3), ("G", 2), ("C", 3)):
-        ca = build_chevalley(build_root_system(family, rank))
-        for (a, b), n in ca.n_table.items():
-            assert ca.n_table[(b, a)] == -n
+        table = _structure_constants(build_chevalley(build_root_system(family, rank)))
+        for (a, b), n in table.items():
+            assert table[(b, a)] == -n
             na = tuple(-c for c in a)
             nb = tuple(-c for c in b)
-            assert ca.n_table[(na, nb)] == -n
+            assert table[(na, nb)] == -n
 
 
 def test_n_table_chevalley_integrality():
@@ -81,7 +95,7 @@ def test_n_table_chevalley_integrality():
     for family, rank in (("B", 3), ("G", 2), ("F", 4)):
         rs = build_root_system(family, rank)
         ca = build_chevalley(rs)
-        for (a, b), n in ca.n_table.items():
+        for (a, b), n in _structure_constants(ca).items():
             p = 0
             v = tuple(x - y for x, y in zip(b, a))
             while v in rs.root_code:
@@ -90,21 +104,26 @@ def test_n_table_chevalley_integrality():
             assert abs(n) == p + 1
 
 
-# sha256 of repr(sorted(_build_n_table(rs).items())), first 16 hex digits,
-# recorded when the table was built on root tuples and Fraction lengths
-# per pair: the constants must not change with the arithmetic.
+# sha256 of repr(sorted(_build_n_table(rs).items())) with each root code
+# mapped back to its root tuple, first 16 hex digits, recorded when the
+# table was built on root tuples and Fraction lengths per pair: the
+# constants must not change with the arithmetic.
 N_TABLE_DIGESTS = {
     ("B", 3): "2527a053eff24b41",
     ("C", 3): "68e4540d1bf4bfdf",
     ("G", 2): "3cda9ce9f13bae82",
     ("F", 4): "dbe5ef284e3122b6",
     ("E", 6): "44ea2dfd15890448",
+    ("E", 7): "4fde56a442ec6e50",
+    ("E", 8): "037e8fb2794afb4f",
 }
 
 
 @pytest.mark.parametrize("family,rank", sorted(N_TABLE_DIGESTS))
 def test_structure_constants_pinned(family, rank):
-    table = chevalley._build_n_table(build_root_system(family, rank))
+    rs = build_root_system(family, rank)
+    root_of = {c: r for r, c in rs.root_code.items()}
+    table = {(root_of[a], root_of[b]): n for (a, b), n in chevalley._build_n_table(rs).items()}
     digest = hashlib.sha256(repr(sorted(table.items())).encode()).hexdigest()[:16]
     assert digest == N_TABLE_DIGESTS[(family, rank)]
 
@@ -118,6 +137,8 @@ BRACKET_DIGESTS = {
     ("C", 3): "3de9849b3df6e36c",
     ("G", 2): "800744f39ad32773",
     ("F", 4): "a5d8a78af42f1a92",
+    ("E", 7): "2afb10b3424f6f68",
+    ("E", 8): "7fa51a37bbb65760",
 }
 
 
@@ -173,7 +194,7 @@ def test_oracle_imports_nothing_of_the_fast_path():
 
 def test_g2_has_constant_of_modulus_three():
     ca = build_chevalley(build_root_system("G", 2))
-    assert max(abs(n) for n in ca.n_table.values()) == 3
+    assert max(abs(n) for n in _structure_constants(ca).values()) == 3
 
 
 @pytest.mark.parametrize("family,rank", [("A", 2), ("B", 3), ("C", 3), ("D", 4), ("G", 2), ("F", 4)])
@@ -217,14 +238,14 @@ def test_subspace_reduce_is_linear():
     # every pivot column is cleared, not only those before the first free one
     assert Subspace(3, [{0: 1}, {2: 1}]).reduce({1: 1, 2: 1}) == {1: 1}
     sub = Subspace(4, [{0: 2, 1: 1}, {2: 3, 3: 1}])
-    assert [row[p] for p, row in zip(sub.pivots, sub.row_vecs())] == [2, 3]
+    assert [row[p] for p, row in sub.rows.items()] == [2, 3]
     u = {0: 1, 1: 5, 2: 1}
     v = {0: -3, 2: 2, 3: 7}
     total = {c: u.get(c, 0) + v.get(c, 0) for c in set(u) | set(v)}
     ru, rv = sub.reduce(u), sub.reduce(v)
     combined = {c: ru.get(c, 0) + rv.get(c, 0) for c in set(ru) | set(rv)}
     assert sub.reduce(total) == {c: x for c, x in combined.items() if x}
-    assert not set(sub.reduce(total)) & set(sub.pivots)
+    assert not set(sub.reduce(total)) & set(sub.rows)
     assert sub.contains({0: 4, 1: 2, 2: 3, 3: 1})
     assert not sub.contains({1: 1})
 
@@ -376,7 +397,7 @@ def _naive_minimality(ca: ChevalleyAlgebra, q_plus: Subspace) -> bool:
     while True:
         rows = current.row_vecs()
         brackets = [ca.bracket(u, v) for u, v in combinations(rows, 2)]
-        nxt = Subspace(ca.dim, list(current.rows) + brackets)
+        nxt = Subspace(ca.dim, rows + brackets)
         if nxt == current:
             return current.dim == ca.dim
         current = nxt

@@ -103,7 +103,7 @@ def test_golden_filtration(golden):
     assert f.levels[0] == f.levels[1] | _roots(3, "-100", "-110", "001")
     assert f.stationary_index == 3 and f.reached_infty
     assert evaluate(cr).order == 3
-    assert f.kernel_dims == (6, 3, 1, 0)
+    assert [len(level - infty) for level in f.levels] == [6, 3, 1, 0]
 
 
 def test_identity_sigma_filtration_is_trivial():
@@ -279,7 +279,6 @@ def test_filtration_off_cr_orbits_is_the_full_chain():
         assert f.levels == tuple(levels) == (q.root_set,)
         assert f.stationary_index == 0
         assert f.reached_infty == (levels[-1] == cr.q_infty)
-        assert f.kernel_dims == (len(q.root_set) - len(cr.q_infty),)
     assert kinds == {ORBIT_OPEN, ORBIT_TOTALLY_REAL}
 
 
@@ -348,7 +347,7 @@ def test_evaluate_rejects_an_order_above_the_cr_dimension(golden, monkeypatch):
 
     def too_long(cr_):
         f = real(cr_)
-        return type(f)(f.levels, cr_.geometry.cr_dim + 1, True, f.kernel_dims)
+        return type(f)(f.levels, cr_.geometry.cr_dim + 1, True)
 
     monkeypatch.setattr(cralgebra, "filtration", too_long)
     with pytest.raises(InvariantViolation, match="1..cr_dim"):

@@ -110,7 +110,6 @@ def test_filtration_invariants(case):
         if i:
             assert level < f.levels[i - 1]
     assert f.stationary_index == len(f.levels) - 1
-    assert f.kernel_dims == tuple(len(lv) - len(cr.q_infty) for lv in f.levels)
     assert f.reached_infty == (f.levels[-1] == cr.q_infty)
 
 

@@ -1,7 +1,11 @@
+from dataclasses import replace
+
 import pytest
 
 from crflag import survey
 from crflag.cralgebra import DEGENERATE, ORBIT_CR, ORBIT_TOTALLY_REAL
+from crflag.involution import cayley_update, identity_involution
+from crflag.parabolic import c_of_q, parabolic_from_subset
 from crflag.roots import build_root_system, highest_root, is_valid_type
 from crflag.survey import SurveyRow, TheoremViolation, run_survey
 
@@ -99,6 +103,33 @@ def test_theorem_violation_reproducer():
     msg = str(exc)
     assert "family=B" in msg and "rank=3" in msg
     assert "qr=(1, 3)" in msg and "010|111" in msg
+
+
+_GOLDEN = ("B", 3, (1, 3), ((0, 1, 0), (1, 1, 1)), "010|111")   # maximal, order 3, c(q) = 2
+_NON_MAXIMAL = ("A", 3, (1,), ((1, 1, 1),), "111")             # degenerate hypersurface
+
+
+@pytest.mark.parametrize("case,fields,message", [
+    (_NON_MAXIMAL, {"order": 1}, "finitely nondegenerate hypersurface with non-maximal parabolic"),
+    (_GOLDEN, {"order": DEGENERATE}, "maximal parabolic CR case without finite order"),
+    (_GOLDEN, {"minimal": False}, "maximal parabolic CR case that is not minimal"),
+    (_GOLDEN, {"order": 4}, "order 4 exceeds the bound c(q)+1 = 3"),
+], ids=["non-maximal-finite", "maximal-degenerate", "maximal-not-minimal", "bound"])
+def test_each_theorem_check_fires(monkeypatch, case, fields, message):
+    family, rank, qr, chain, label = case
+    rs = build_root_system(family, rank)
+    q = parabolic_from_subset(rs, qr)
+    sigma = identity_involution(rs)
+    for gamma in chain:
+        sigma = cayley_update(rs, sigma, gamma)
+    real = survey.evaluate
+    monkeypatch.setattr(survey, "evaluate", lambda cr: replace(real(cr), **fields))
+    cq = c_of_q(rs, q) if q.is_maximal else None
+    with pytest.raises(TheoremViolation) as info:
+        survey._survey_case(rs, q, cq, sigma, False, 0, set())
+    exc = info.value
+    assert str(exc).startswith(message + " [reproducer: ")
+    assert (exc.family, exc.rank, exc.qr, exc.provenance) == (family, rank, qr, label)
 
 
 def test_highest_coefficient_table():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -345,6 +346,22 @@ def test_survey_json(capsys):
     assert rows and all(r["cr_codim"] == 1 for r in rows)
     golden = [r for r in rows if r["qr"] == [1, 3] and r["involution"] == "010|111"]
     assert golden and golden[0]["order"] == 3
+
+
+SURVEY_ARGS = (
+    "survey", "--families", "A,B,C,D,G", "--max-rank", "3", "--max-cayley-chain", "3",
+    "--oracle-max-rank", "3",
+)
+
+
+@pytest.mark.parametrize("fmt, digest", [("json", "2e306b84af457446"),
+                                         ("text", "98a22981016033a6")])
+def test_survey_output_snapshot(capsys, fmt, digest):
+    # 476 rows: open, totally real and degenerate orbits and orders 1 to 3,
+    # every one oracle-checked; pinned by the sha256 of stdout
+    code, out, _ = run_cli(capsys, *SURVEY_ARGS, "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
 
 
 def test_survey_classical_hypersurfaces_bounded(capsys):

@@ -16,8 +16,6 @@ from .cralgebra import (
     ORBIT_TOTALLY_REAL,
     CRAlgebraData,
     CaseResult,
-    FiltrationResult,
-    GeometryReport,
     analyze,
     evaluate,
     filtration,
@@ -65,9 +63,9 @@ from .survey import SurveyRow, TheoremViolation, run_survey
 
 __all__ = [
     # cralgebra
-    "CRAlgebraData", "CaseResult", "DEGENERATE", "FiltrationResult", "GeometryReport",
-    "ORBIT_CR", "ORBIT_OPEN", "ORBIT_TOTALLY_REAL", "analyze", "evaluate", "filtration",
-    "holomorphic_degeneracy_witness", "is_minimal",
+    "CRAlgebraData", "CaseResult", "DEGENERATE", "ORBIT_CR", "ORBIT_OPEN",
+    "ORBIT_TOTALLY_REAL", "analyze", "evaluate", "filtration", "holomorphic_degeneracy_witness",
+    "is_minimal",
     # chevalley
     "ChevalleyAlgebra", "Subspace", "build_chevalley", "cross_check", "jacobi_check",
     "levi_tensor_kernel", "oracle_filtration", "oracle_minimality", "subspace_from_rootset",

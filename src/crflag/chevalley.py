@@ -37,6 +37,8 @@ from .roots import InvariantViolation, Root, RootSystem, pairing
 
 Vec = dict[int, int]
 
+MAX_RANK = 8  # the largest rank build_chevalley accepts
+
 
 # ---------------------------------------------------------------------------
 # structure constants
@@ -220,8 +222,8 @@ def jacobi_check(ca: ChevalleyAlgebra, sample: int | None = None) -> int:
 @lru_cache(maxsize=None)
 def build_chevalley(rs: RootSystem) -> ChevalleyAlgebra:
     """Build the adjoint table and verify it at construction time."""
-    if rs.rank > 8:
-        raise ValueError("Chevalley construction is bounded at rank 8")
+    if rs.rank > MAX_RANK:
+        raise ValueError(f"Chevalley construction is bounded at rank {MAX_RANK}")
     n = rs.rank
     root_index = {beta: idx for idx, beta in enumerate(rs.roots, start=n)}
     code_index = {rs.root_code[beta]: idx for beta, idx in root_index.items()}
@@ -353,10 +355,6 @@ class Subspace:
             and self.ambient_dim == other.ambient_dim
             and self.rows == other.rows
         )
-
-    def __hash__(self) -> int:
-        rows = tuple((p, frozenset(row.items())) for p, row in self.rows.items())
-        return hash((self.ambient_dim, rows))
 
     def __le__(self, other: "Subspace") -> bool:
         return all(other.contains(row) for row in self.rows.values())

@@ -13,7 +13,7 @@ import os
 import sys
 from dataclasses import asdict
 
-from .chevalley import cross_check
+from .chevalley import MAX_RANK, cross_check
 from .cralgebra import DEGENERATE, ORBIT_CR, analyze, evaluate
 from .involution import (
     InvolutionData,
@@ -68,8 +68,8 @@ def _parse_matrix(text: str, rank: int, flag: str):
 
 
 def _check_oracle_rank(rank: int, flag: str) -> None:
-    if rank > 8:
-        raise UsageError(f"{flag}: the Chevalley oracle is bounded at rank 8, got {rank}")
+    if rank > MAX_RANK:
+        raise UsageError(f"{flag}: the Chevalley oracle is bounded at rank {MAX_RANK}, got {rank}")
 
 
 def _root_strings(rs: RootSystem, roots) -> list[str]:
@@ -88,10 +88,9 @@ def build_report(rs: RootSystem, q: ParabolicData, sigma: InvolutionData,
     and degenerate orbits, ``degenerate`` off CR orbits, ``witness`` unless
     degenerate, ``c_of_q`` unless q is maximal."""
     cr = analyze(rs, q, sigma)
-    geo = cr.geometry
     result = evaluate(cr)
     if run_oracle:
-        cross_check(rs, q.root_set, cr.sigma_q, result.filtration.levels, result.minimal)
+        cross_check(rs, q.root_set, cr.sigma_q, result.levels, result.minimal)
     sigma_report = {"provenance": sigma.provenance,
                     "matrix": [list(row) for row in sigma.matrix]}
     if isinstance(sigma.provenance, tuple):
@@ -102,18 +101,18 @@ def build_report(rs: RootSystem, q: ParabolicData, sigma: InvolutionData,
         "rank": rs.rank,
         "parabolic": sorted(q.qr),
         "sigma": sigma_report,
-        "orbit_type": geo.orbit_type,
-        "dim_Z": geo.dim_Z,
-        "dimR_M": geo.dimR_M,
-        "cr_dim": geo.cr_dim,
-        "cr_codim": geo.cr_codim,
-        "filtration": [_root_strings(rs, level) for level in result.filtration.levels],
+        "orbit_type": cr.orbit_type,
+        "dim_Z": cr.dim_Z,
+        "dimR_M": cr.dimR_M,
+        "cr_dim": cr.cr_dim,
+        "cr_codim": cr.cr_codim,
+        "filtration": [_root_strings(rs, level) for level in result.levels],
         "minimal": result.minimal,
         "oracle_checked": run_oracle,
     }
     if isinstance(result.order, int):
         report["order"] = result.order
-    if geo.orbit_type == ORBIT_CR:
+    if cr.orbit_type == ORBIT_CR:
         report["degenerate"] = result.witness is not None
         if result.witness is not None:
             report["witness"] = _root_strings(rs, result.witness)

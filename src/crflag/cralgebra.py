@@ -13,9 +13,12 @@ decides the order of nondegeneracy, holomorphic degeneracy, and together
 with the addition closure of q + sigma(q), minimality.
 
 ``analyze`` builds the root sets of a case and reads its dimensions and
-orbit type off their sizes; ``evaluate`` then computes every answer of
-the case once (filtration, order, degeneracy witness, minimality).  The
-CLI and the survey read every answer from these two and derive none.
+orbit type off their sizes, into one flat record; ``evaluate`` then
+computes every answer of the case once: the filtration as the tuple of
+its levels, the order and degeneracy witness read off that chain (the
+order is its length minus one, and "q^inf reached" compares its last
+level, so neither is stored beside it), and minimality.  The CLI and the
+survey read every answer from these two and derive none.
 
 sigma reaches this module already validated: ``involution._involution``
 checks that it is a linear involution of Phi.  So every fact that follows
@@ -45,7 +48,13 @@ class OrbitTypeError(ValueError):
 
 
 @dataclass(frozen=True)
-class GeometryReport:
+class CRAlgebraData:
+    rs: RootSystem
+    q: ParabolicData
+    sigma: InvolutionData
+    sigma_q: frozenset[Root]    # sigma(Phi(q))
+    q_plus: frozenset[Root]     # Phi(q) | sigma(Phi(q))
+    q_infty: frozenset[Root]    # Phi(q) & sigma(Phi(q))
     dim_Z: int
     dimR_M: int
     cr_dim: int
@@ -54,26 +63,8 @@ class GeometryReport:
 
 
 @dataclass(frozen=True)
-class CRAlgebraData:
-    rs: RootSystem
-    q: ParabolicData
-    sigma: InvolutionData
-    sigma_q: frozenset[Root]    # sigma(Phi(q))
-    q_plus: frozenset[Root]     # Phi(q) | sigma(Phi(q))
-    q_infty: frozenset[Root]    # Phi(q) & sigma(Phi(q))
-    geometry: GeometryReport
-
-
-@dataclass(frozen=True)
-class FiltrationResult:
-    levels: tuple[frozenset[Root], ...]
-    stationary_index: int
-    reached_infty: bool
-
-
-@dataclass(frozen=True)
 class CaseResult:
-    filtration: FiltrationResult
+    levels: tuple[frozenset[Root], ...]   # q(0) > q(1) > ..., up to the stationary level
     order: int | str                  # k, "degenerate", "open" or "totally_real"
     witness: frozenset[Root] | None   # degenerate CR orbits only
     minimal: bool
@@ -116,13 +107,11 @@ def analyze(rs: RootSystem, q: ParabolicData, sigma: InvolutionData) -> CRAlgebr
         sigma_q=sigma_q,
         q_plus=q_plus,
         q_infty=q_infty,
-        geometry=GeometryReport(
-            dim_Z=n_roots - len(q_roots),
-            dimR_M=n_roots - len(q_infty),
-            cr_dim=len(q_roots) - len(q_infty),
-            cr_codim=cr_codim,
-            orbit_type=orbit,
-        ),
+        dim_Z=n_roots - len(q_roots),
+        dimR_M=n_roots - len(q_infty),
+        cr_dim=len(q_roots) - len(q_infty),
+        cr_codim=cr_codim,
+        orbit_type=orbit,
     )
 
 
@@ -140,7 +129,7 @@ def _next_level(rs: RootSystem, level: frozenset[Root], sigma_q: frozenset[Root]
     )
 
 
-def filter_levels(rs: RootSystem, q_roots: frozenset[Root], sigma_q: frozenset[Root]) -> list[frozenset[Root]]:
+def filter_levels(rs: RootSystem, q_roots: frozenset[Root], sigma_q: frozenset[Root]) -> tuple[frozenset[Root], ...]:
     """The raw descending chain for arbitrary root-set input, up to and
     including the first stationary value."""
     q_infty = q_roots & sigma_q
@@ -155,46 +144,39 @@ def filter_levels(rs: RootSystem, q_roots: frozenset[Root], sigma_q: frozenset[R
         levels.append(nxt)
         if len(levels) > cap:
             raise InvariantViolation("filtration exceeded its theoretical length")
-    return levels
+    return tuple(levels)
 
 
-def filtration(cr: CRAlgebraData) -> FiltrationResult:
-    """Compute the kernel filtration and validate its invariants.
+def filtration(cr: CRAlgebraData) -> tuple[frozenset[Root], ...]:
+    """The kernel filtration q(0) > q(1) > ..., up to and including its
+    stationary level, with its invariants validated.
 
     Off CR orbits the chain is q alone: q + sigma(q) is all of Phi (open)
     or q itself (totally real), so no bracket of q against sigma(q) leaves
     q + sigma(q).  The oracle cross-check still compares it."""
     q_roots = cr.q.root_set
-    if cr.geometry.orbit_type != ORBIT_CR:
-        return FiltrationResult(
-            levels=(q_roots,),
-            stationary_index=0,
-            reached_infty=q_roots == cr.q_infty,
-        )
+    if cr.orbit_type != ORBIT_CR:
+        return (q_roots,)
     levels = filter_levels(cr.rs, q_roots, cr.sigma_q)
     for level in levels:
         if not cr.q_infty <= level:
             raise InvariantViolation("every level must contain q^inf")
         if not check_root_set_closed(cr.rs, level):
             raise InvariantViolation("every level must be closed under root addition")
-    return FiltrationResult(
-        levels=tuple(levels),
-        stationary_index=len(levels) - 1,
-        reached_infty=levels[-1] == cr.q_infty,
-    )
+    return levels
 
 
-def holomorphic_degeneracy_witness(cr: CRAlgebraData, f: FiltrationResult) -> frozenset[Root] | None:
-    """For a degenerate CR orbit with filtration f, an intermediate
-    bracket-closed root set r with Phi(q) strictly inside r inside q_plus;
-    None when the orbit is finitely nondegenerate.  Raises OrbitTypeError
-    for open or totally real input."""
-    orbit = cr.geometry.orbit_type
-    if orbit != ORBIT_CR:
-        raise OrbitTypeError(f"degeneracy witness undefined for {orbit} orbits")
-    if f.reached_infty:
+def holomorphic_degeneracy_witness(cr: CRAlgebraData, levels: tuple[frozenset[Root], ...]) -> frozenset[Root] | None:
+    """For a degenerate CR orbit with filtration chain ``levels``, an
+    intermediate bracket-closed root set r with Phi(q) strictly inside r
+    inside q_plus; None when the orbit is finitely nondegenerate, i.e. when
+    the chain reaches q^inf.  Raises OrbitTypeError for open or totally
+    real input."""
+    if cr.orbit_type != ORBIT_CR:
+        raise OrbitTypeError(f"degeneracy witness undefined for {cr.orbit_type} orbits")
+    if levels[-1] == cr.q_infty:
         return None
-    witness = cr.q.root_set | frozenset(map(cr.sigma.apply, f.levels[-1]))
+    witness = cr.q.root_set | frozenset(map(cr.sigma.apply, levels[-1]))
     if not check_root_set_closed(cr.rs, witness):
         raise InvariantViolation("the degeneracy witness must be closed under root addition")
     if not cr.q.root_set < witness <= cr.q_plus:
@@ -231,17 +213,16 @@ def evaluate(cr: CRAlgebraData) -> CaseResult:
     q^inf at step k, and "degenerate" when it stabilizes strictly above
     q^inf, which is exactly when the orbit has a degeneracy witness.
     """
-    f = filtration(cr)
-    geo = cr.geometry
+    levels = filtration(cr)
     witness = None
-    if geo.orbit_type != ORBIT_CR:
-        order = geo.orbit_type
+    if cr.orbit_type != ORBIT_CR:
+        order = cr.orbit_type
     else:
-        witness = holomorphic_degeneracy_witness(cr, f)
-        if not f.reached_infty:
+        witness = holomorphic_degeneracy_witness(cr, levels)
+        if witness is not None:
             order = DEGENERATE
         else:
-            order = f.stationary_index
-            if not 1 <= order <= geo.cr_dim:
+            order = len(levels) - 1
+            if not 1 <= order <= cr.cr_dim:
                 raise InvariantViolation(f"order {order} must lie in 1..cr_dim")
-    return CaseResult(filtration=f, order=order, witness=witness, minimal=is_minimal(cr))
+    return CaseResult(levels=levels, order=order, witness=witness, minimal=is_minimal(cr))

@@ -22,7 +22,6 @@ class ParabolicData:
     qr: frozenset[int]          # kept simple-root indices, 1-based
     root_set: frozenset[Root]
     is_maximal: bool
-    removed_index: int | None   # the single deleted simple root when maximal
 
 
 def parabolic_from_subset(rs: RootSystem, qr) -> ParabolicData:
@@ -35,13 +34,7 @@ def parabolic_from_subset(rs: RootSystem, qr) -> ParabolicData:
     for beta in rs.positive_roots:
         if all(c == 0 or (i + 1) in kept for i, c in enumerate(beta)):
             roots.add(beta)
-    removed = sorted(set(range(1, rs.rank + 1)) - kept)
-    p = ParabolicData(
-        qr=kept,
-        root_set=frozenset(roots),
-        is_maximal=len(removed) == 1,
-        removed_index=removed[0] if len(removed) == 1 else None,
-    )
+    p = ParabolicData(qr=kept, root_set=frozenset(roots), is_maximal=len(kept) == rs.rank - 1)
     if not check_root_set_closed(rs, p.root_set):
         raise InvariantViolation("parabolic root set must be bracket-closed")
     if {b for b in p.root_set if sum(b) == 1 and all(c >= 0 for c in b)} != {
@@ -67,7 +60,8 @@ def c_of_q(rs: RootSystem, p: ParabolicData) -> int:
     roots; defined only for maximal parabolics."""
     if not p.is_maximal:
         raise NotMaximal("c(q) is only defined for a maximal parabolic")
-    qi = p.removed_index - 1
+    (removed,) = set(range(1, rs.rank + 1)) - p.qr
+    qi = removed - 1
     c = max(beta[qi] for beta in rs.positive_roots)
     if c != highest_root(rs)[qi]:
         raise InvariantViolation("c(q) must be the highest root's coefficient")

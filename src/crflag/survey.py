@@ -98,8 +98,7 @@ def run_survey(
 
 def _survey_case(rs, q, cq, sigma, hypersurface_only, oracle_max_rank, seen):
     cr = analyze(rs, q, sigma)
-    geo = cr.geometry
-    if hypersurface_only and geo.cr_codim != 1:
+    if hypersurface_only and cr.cr_codim != 1:
         return None
     label = provenance_label(sigma)
     result = evaluate(cr)
@@ -110,10 +109,10 @@ def _survey_case(rs, q, cq, sigma, hypersurface_only, oracle_max_rank, seen):
     def violate(msg):
         raise TheoremViolation(msg, rs.family, rs.rank, q.qr, label)
 
-    if geo.orbit_type == ORBIT_CR:
+    if cr.orbit_type == ORBIT_CR:
         # on a CR orbit the order is finite or "degenerate", so this
         # also says that a non-maximal hypersurface case is degenerate
-        if geo.cr_codim == 1 and finite and not q.is_maximal:
+        if cr.cr_codim == 1 and finite and not q.is_maximal:
             violate("finitely nondegenerate hypersurface with non-maximal parabolic")
         if q.is_maximal:
             if not finite:
@@ -127,7 +126,7 @@ def _survey_case(rs, q, cq, sigma, hypersurface_only, oracle_max_rank, seen):
     oracle_checked = rs.rank <= oracle_max_rank
     key = (rs.family, rs.rank, q.root_set, cr.sigma_q)
     if oracle_checked and key not in seen:
-        cross_check(rs, q.root_set, cr.sigma_q, result.filtration.levels, minimal)
+        cross_check(rs, q.root_set, cr.sigma_q, result.levels, minimal)
         seen.add(key)
 
     return SurveyRow(
@@ -135,8 +134,8 @@ def _survey_case(rs, q, cq, sigma, hypersurface_only, oracle_max_rank, seen):
         rank=rs.rank,
         qr=tuple(sorted(q.qr)),
         involution=label,
-        orbit_type=geo.orbit_type,
-        cr_codim=geo.cr_codim,
+        orbit_type=cr.orbit_type,
+        cr_codim=cr.cr_codim,
         order=order,
         c_of_q=cq,
         bound_satisfied=bound,

@@ -69,17 +69,16 @@ def test_criterion_1_golden_so7_case():
         for gamma in ((0, 1, 0), (1, 1, 1)):
             sigma = cayley_update(rs, sigma, gamma)
         cr = analyze(rs, q, sigma)
-        f = filtration(cr)
+        levels = filtration(cr)
         infty = _roots(3, "100", "-112", "-001", "-011", "-012")
-        assert f.levels[3] == infty and f.levels[3] == cr.q_infty
-        assert f.levels[2] == infty | _roots(3, "-122")
-        assert f.levels[1] == f.levels[2] | _roots(3, "-010", "-111")
-        assert f.levels[0] == f.levels[1] | _roots(3, "-100", "-110", "001")
-        assert len(f.levels) == 4
+        assert levels[3] == infty and levels[3] == cr.q_infty
+        assert levels[2] == infty | _roots(3, "-122")
+        assert levels[1] == levels[2] | _roots(3, "-010", "-111")
+        assert levels[0] == levels[1] | _roots(3, "-100", "-110", "001")
+        assert len(levels) == 4
         assert evaluate(cr).order == 3
-        assert [len(level - infty) for level in f.levels] == [6, 3, 1, 0]
-        geo = cr.geometry
-        assert geo.dim_Z == 7 and geo.cr_codim == 1
+        assert [len(level - infty) for level in levels] == [6, 3, 1, 0]
+        assert cr.dim_Z == 7 and cr.cr_codim == 1
         assert is_minimal(cr)
         assert perf_counter() - start < 1.0
 
@@ -174,7 +173,7 @@ def test_criterion_6_property_suites():
                 for mask in subsets:
                     qr = {i + 1 for i in range(rs.rank) if mask >> i & 1}
                     cr = analyze(rs, parabolic_from_subset(rs, qr), sigma)
-                    for level in filtration(cr).levels:
+                    for level in filtration(cr):
                         assert check_root_set_closed(rs, level)
         # commuting strongly orthogonal Cayley steps
         for family, rank in (("B", 3), ("C", 3), ("B", 4), ("D", 4)):
@@ -204,10 +203,10 @@ def test_criterion_7_small_instance_cross_checks():
         a1 = build_root_system("A", 1)
         borel = parabolic_from_subset(a1, set())
         split = analyze(a1, borel, identity_involution(a1))
-        assert split.geometry.orbit_type == ORBIT_TOTALLY_REAL
+        assert split.orbit_type == ORBIT_TOTALLY_REAL
         assert evaluate(split).order == ORBIT_TOTALLY_REAL
         flipped = analyze(a1, borel, cayley_update(a1, identity_involution(a1), (1,)))
-        assert flipped.geometry.orbit_type == ORBIT_OPEN
+        assert flipped.orbit_type == ORBIT_OPEN
         assert evaluate(flipped).order == ORBIT_OPEN
         assert flipped.q_plus == frozenset(a1.roots)
 
@@ -217,12 +216,10 @@ def test_criterion_7_small_instance_cross_checks():
         swap = involution_from_matrix(a2, ((0, 1), (1, 0)))
         cr = analyze(a2, q, swap)
         negatives = _roots(2, "-10", "-01", "-11")
-        f = filtration(cr)
-        assert f.levels == (q.root_set, negatives)
+        assert filtration(cr) == (q.root_set, negatives)
         assert cr.q_infty == negatives
         assert evaluate(cr).order == 1
-        geo = cr.geometry
-        assert (geo.dim_Z, geo.dimR_M, geo.cr_dim, geo.cr_codim) == (2, 3, 1, 1)
+        assert (cr.dim_Z, cr.dimR_M, cr.cr_dim, cr.cr_codim) == (2, 3, 1, 1)
         assert is_minimal(cr)
 
         # A2 Borel with the negated swap: sigma maps the negative roots onto
@@ -230,6 +227,6 @@ def test_criterion_7_small_instance_cross_checks():
         open_cr = analyze(a2, parabolic_from_subset(a2, set()),
                           involution_from_matrix(a2, ((0, -1), (-1, 0))))
         assert open_cr.q_plus == frozenset(a2.roots)
-        assert open_cr.geometry.orbit_type == ORBIT_OPEN
+        assert open_cr.orbit_type == ORBIT_OPEN
 
     _check(7, "A1/A2 hand enumerations reproduce exactly", body)

@@ -287,16 +287,12 @@ def test_example_so7_passes(capsys):
 
 def test_example_so7_detects_corruption(capsys, monkeypatch):
     # the self-test reads the filtration that evaluate computes; this one
-    # stops a level early, consistently, so it claims order 2
+    # skips a level but still ends at q^inf, a consistent chain of order 2
     real = cralgebra.filtration
 
     def corrupted(cr):
-        result = real(cr)
-        return type(result)(
-            levels=result.levels[:-1],
-            stationary_index=result.stationary_index - 1,
-            reached_infty=True,
-        )
+        levels = real(cr)
+        return levels[:2] + levels[3:]
 
     monkeypatch.setattr(cralgebra, "filtration", corrupted)
     code, out, _ = run_cli(capsys, "example-so7")
@@ -311,12 +307,7 @@ def test_example_so7_truncated_chain_short_of_q_infty_is_internal(capsys, monkey
     real = cralgebra.filtration
 
     def truncated(cr):
-        result = real(cr)
-        return type(result)(
-            levels=result.levels[:-1],
-            stationary_index=result.stationary_index - 1,
-            reached_infty=False,
-        )
+        return real(cr)[:-1]
 
     monkeypatch.setattr(cralgebra, "filtration", truncated)
     code, out, err = run_cli(capsys, "example-so7")
@@ -429,6 +420,7 @@ def test_analyze_oracle_above_rank_eight_exits_two(capsys, monkeypatch):
     )
     assert code == 2 and out == ""
     assert err.startswith("error: --oracle:")
+    assert "bounded at rank 8, got 9" in err
 
 
 def test_survey_theorem_violation_exits_one(capsys, monkeypatch):
@@ -465,11 +457,18 @@ def _python(*args, **kwargs):
 
 
 _TRUNCATED_SURVEY = """
-import dataclasses, sys
+import sys
 from crflag import cralgebra, survey
 from crflag.roots import InvariantViolation
 real = cralgebra.filtration
-cralgebra.filtration = lambda cr: dataclasses.replace(real(cr), levels=real(cr).levels[:-1])
+
+def truncated(cr):
+    # drop q(1): the chain still ends at q^inf, so evaluate accepts it and
+    # only the oracle's level-by-level comparison can catch it
+    levels = real(cr)
+    return levels[:1] + levels[2:] if len(levels) >= 3 else levels
+
+cralgebra.filtration = truncated
 try:
     survey.run_survey(["B"], 3, 2, oracle_max_rank=3)
 except InvariantViolation:

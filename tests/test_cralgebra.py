@@ -65,7 +65,7 @@ def test_identity_sigma_is_totally_real():
         q = parabolic_from_subset(rs, qr)
         cr = analyze(rs, q, identity_involution(rs))
         assert cr.q_infty == cr.q_plus == q.root_set
-        assert cr.geometry.orbit_type == ORBIT_TOTALLY_REAL
+        assert cr.orbit_type == ORBIT_TOTALLY_REAL
 
 
 def test_a1_borel_with_reflection_is_open():
@@ -75,44 +75,41 @@ def test_a1_borel_with_reflection_is_open():
     cr = analyze(rs, q, sigma)
     assert cr.sigma_q == _roots(1, "1")
     assert cr.q_plus == frozenset(rs.roots)
-    assert cr.geometry.orbit_type == ORBIT_OPEN
+    assert cr.orbit_type == ORBIT_OPEN
     assert evaluate(cr).order == ORBIT_OPEN
 
 
 def test_golden_geometry(golden):
     _, _, _, cr = golden
-    geo = cr.geometry
-    assert (geo.dim_Z, geo.dimR_M, geo.cr_dim, geo.cr_codim) == (7, 13, 6, 1)
-    assert geo.orbit_type == ORBIT_CR
+    assert (cr.dim_Z, cr.dimR_M, cr.cr_dim, cr.cr_codim) == (7, 13, 6, 1)
+    assert cr.orbit_type == ORBIT_CR
 
 
 def test_point_flag_manifold():
     rs = build_root_system("A", 2)
     q = parabolic_from_subset(rs, {1, 2})
-    geo = analyze(rs, q, identity_involution(rs)).geometry
-    assert geo.dim_Z == 0 and geo.cr_codim == 0
+    cr = analyze(rs, q, identity_involution(rs))
+    assert cr.dim_Z == 0 and cr.cr_codim == 0
 
 
 def test_golden_filtration(golden):
     _, _, _, cr = golden
-    f = filtration(cr)
+    levels = filtration(cr)
     infty = _roots(3, *GOLDEN_INFTY)
-    assert f.levels[3] == infty
-    assert f.levels[2] == infty | _roots(3, "-122")
-    assert f.levels[1] == f.levels[2] | _roots(3, "-010", "-111")
-    assert f.levels[0] == f.levels[1] | _roots(3, "-100", "-110", "001")
-    assert f.stationary_index == 3 and f.reached_infty
+    assert levels[3] == infty == cr.q_infty
+    assert levels[2] == infty | _roots(3, "-122")
+    assert levels[1] == levels[2] | _roots(3, "-010", "-111")
+    assert levels[0] == levels[1] | _roots(3, "-100", "-110", "001")
+    assert len(levels) == 4
     assert evaluate(cr).order == 3
-    assert [len(level - infty) for level in f.levels] == [6, 3, 1, 0]
+    assert [len(level - infty) for level in levels] == [6, 3, 1, 0]
 
 
 def test_identity_sigma_filtration_is_trivial():
     rs = build_root_system("B", 3)
     q = parabolic_from_subset(rs, {1, 3})
     cr = analyze(rs, q, identity_involution(rs))
-    f = filtration(cr)
-    assert f.levels == (q.root_set,)
-    assert f.stationary_index == 0 and f.reached_infty
+    assert filtration(cr) == (q.root_set,) == (cr.q_infty,)
     assert evaluate(cr).order == ORBIT_TOTALLY_REAL
 
 
@@ -124,11 +121,9 @@ def test_su21_sphere_case():
     cr = analyze(rs, q, sigma)
     negatives = _roots(2, "-10", "-01", "-11")
     assert cr.q_infty == negatives
-    f = filtration(cr)
-    assert f.levels == (q.root_set, negatives)
+    assert filtration(cr) == (q.root_set, negatives)
     assert evaluate(cr).order == 1
-    geo = cr.geometry
-    assert (geo.dim_Z, geo.dimR_M, geo.cr_dim, geo.cr_codim) == (2, 3, 1, 1)
+    assert (cr.dim_Z, cr.dimR_M, cr.cr_dim, cr.cr_codim) == (2, 3, 1, 1)
     assert is_minimal(cr)
 
 
@@ -144,8 +139,7 @@ def _first_degenerate_hypersurface(rs, qr):
     q = parabolic_from_subset(rs, qr)
     for sigma in enumerate_cayley_involutions(rs, 3):
         cr = analyze(rs, q, sigma)
-        geo = cr.geometry
-        if geo.orbit_type == ORBIT_CR and geo.cr_codim == 1:
+        if cr.orbit_type == ORBIT_CR and cr.cr_codim == 1:
             return cr
     return None
 
@@ -158,7 +152,7 @@ def test_non_maximal_hypersurface_is_degenerate():
     assert result.order == DEGENERATE
     witness = result.witness
     assert witness is not None
-    assert holomorphic_degeneracy_witness(cr, result.filtration) == witness
+    assert holomorphic_degeneracy_witness(cr, result.levels) == witness
     assert check_root_set_closed(rs, witness)
     assert cr.q.root_set < witness <= cr.q_plus
 
@@ -177,7 +171,7 @@ def test_witness_iff_degenerate_on_sweep():
         q = parabolic_from_subset(rs, qr)
         for sigma in enumerate_cayley_involutions(rs, 2):
             cr = analyze(rs, q, sigma)
-            if cr.geometry.orbit_type != ORBIT_CR:
+            if cr.orbit_type != ORBIT_CR:
                 continue
             result = evaluate(cr)
             order, witness = result.order, result.witness
@@ -211,12 +205,12 @@ def test_check_root_set_closed():
 
 def test_filtration_levels_are_bracket_closed_and_nested(golden):
     _, q, _, cr = golden
-    f = filtration(cr)
-    for i, level in enumerate(f.levels):
+    levels = filtration(cr)
+    for i, level in enumerate(levels):
         assert check_root_set_closed(cr.rs, level)
         assert cr.q_infty <= level <= q.root_set
         if i:
-            assert level < f.levels[i - 1]
+            assert level < levels[i - 1]
 
 
 def test_sigma_swap_consistency(golden):
@@ -258,8 +252,7 @@ def test_identities_analyze_takes_from_the_involution():
         if len(transversal) == 1:
             (gamma,) = transversal
             assert sigma.fixes(gamma)
-        geo = cr.geometry
-        assert geo.dimR_M == 2 * geo.cr_dim + geo.cr_codim
+        assert cr.dimR_M == 2 * cr.cr_dim + cr.cr_codim
         assert check_root_set_closed(rs, cr.q_infty)
         cases += 1
     assert cases == 2_866
@@ -271,14 +264,10 @@ def test_filtration_off_cr_orbits_is_the_full_chain():
     kinds = set()
     for rs, q, sigma in _depth_three_cases():
         cr = analyze(rs, q, sigma)
-        if cr.geometry.orbit_type == ORBIT_CR:
+        if cr.orbit_type == ORBIT_CR:
             continue
-        kinds.add(cr.geometry.orbit_type)
-        levels = filter_levels(rs, q.root_set, cr.sigma_q)
-        f = filtration(cr)
-        assert f.levels == tuple(levels) == (q.root_set,)
-        assert f.stationary_index == 0
-        assert f.reached_infty == (levels[-1] == cr.q_infty)
+        kinds.add(cr.orbit_type)
+        assert filtration(cr) == filter_levels(rs, q.root_set, cr.sigma_q) == (q.root_set,)
     assert kinds == {ORBIT_OPEN, ORBIT_TOTALLY_REAL}
 
 
@@ -346,8 +335,8 @@ def test_evaluate_rejects_an_order_above_the_cr_dimension(golden, monkeypatch):
     real = cralgebra.filtration
 
     def too_long(cr_):
-        f = real(cr_)
-        return type(f)(f.levels, cr_.geometry.cr_dim + 1, True)
+        # a chain that reaches q^inf after cr_dim + 1 steps
+        return (cr_.q.root_set,) * (cr_.cr_dim + 1) + (cr_.q_infty,)
 
     monkeypatch.setattr(cralgebra, "filtration", too_long)
     with pytest.raises(InvariantViolation, match="1..cr_dim"):

@@ -19,7 +19,7 @@ def test_b3_subset_13():
     negatives = {tuple(-c for c in b) for b in rs.positive_roots}
     assert p.root_set == frozenset(negatives) | _roots(3, "100", "001")
     assert len(p.root_set) == 11
-    assert p.is_maximal and p.removed_index == 2
+    assert p.is_maximal
 
 
 def test_full_subset_gives_all_roots():

@@ -102,15 +102,13 @@ def test_strongly_orthogonal_steps_commute(key, data):
 def test_filtration_invariants(case):
     rs, q, sigma = case
     cr = analyze(rs, q, sigma)
-    f = filtration(cr)
-    assert f.levels[0] == q.root_set
-    for i, level in enumerate(f.levels):
+    levels = filtration(cr)
+    assert levels[0] == q.root_set
+    for i, level in enumerate(levels):
         assert cr.q_infty <= level <= q.root_set
         assert check_root_set_closed(rs, level)
         if i:
-            assert level < f.levels[i - 1]
-    assert f.stationary_index == len(f.levels) - 1
-    assert f.reached_infty == (f.levels[-1] == cr.q_infty)
+            assert level < levels[i - 1]
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -118,10 +116,9 @@ def test_filtration_invariants(case):
 def test_geometry_identities(case):
     rs, q, sigma = case
     cr = analyze(rs, q, sigma)
-    geo = cr.geometry
-    assert geo.dimR_M == 2 * geo.cr_dim + geo.cr_codim
-    assert (geo.orbit_type == ORBIT_OPEN) == (geo.cr_codim == 0)
-    assert geo.dim_Z == geo.cr_dim + geo.cr_codim  # complement of q in the algebra
+    assert cr.dimR_M == 2 * cr.cr_dim + cr.cr_codim
+    assert (cr.orbit_type == ORBIT_OPEN) == (cr.cr_codim == 0)
+    assert cr.dim_Z == cr.cr_dim + cr.cr_codim  # complement of q in the algebra
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -129,7 +126,7 @@ def test_geometry_identities(case):
 def test_witness_iff_degenerate_and_order_bound(case):
     rs, q, sigma = case
     cr = analyze(rs, q, sigma)
-    if cr.geometry.orbit_type != ORBIT_CR:
+    if cr.orbit_type != ORBIT_CR:
         return
     result = evaluate(cr)
     order, witness = result.order, result.witness
@@ -147,7 +144,7 @@ def test_witness_iff_degenerate_and_order_bound(case):
 def test_maximal_cr_is_minimal_with_finite_order(case):
     rs, q, sigma = case
     cr = analyze(rs, q, sigma)
-    if not q.is_maximal or cr.geometry.orbit_type != ORBIT_CR:
+    if not q.is_maximal or cr.orbit_type != ORBIT_CR:
         return
     result = evaluate(cr)
     assert isinstance(result.order, int)
@@ -161,7 +158,7 @@ def test_sigma_image_of_filtration(case):
     cr = analyze(rs, q, sigma)
     swapped = filter_levels(rs, cr.sigma_q, frozenset(q.root_set))
     direct = filter_levels(rs, frozenset(q.root_set), cr.sigma_q)
-    assert [frozenset(sigma.apply(b) for b in level) for level in direct] == swapped
+    assert tuple(frozenset(sigma.apply(b) for b in level) for level in direct) == swapped
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)

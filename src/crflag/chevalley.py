@@ -18,7 +18,11 @@ is plain equality of the pivot -> row maps and every computation is exact.
 This module re-derives the kernel filtration and minimality by honest
 bracket arithmetic.  Each level of the filtration is the left kernel of
 the Levi-form bracket tensor of the level before, solved by one echelon
-elimination (``levi_tensor_kernel``).  Minimality is the fixpoint of
+elimination (``levi_tensor_kernel``).  Its brackets are one sparse
+product of the level's rows with ``ad`` and the rows of sigma(q) indexed
+by coordinate, and its residues modulo level + sigma(q) come from a table
+that reduces each coordinate once, which is exact because the reduction
+is linear.  Minimality is the fixpoint of
 V <- V + [V, V], reached semi-naively: each round brackets only the
 directions the round before added.  The module consumes the
 involution only through the image root set of the parabolic, never as a
@@ -399,21 +403,48 @@ def levi_tensor_kernel(ca: ChevalleyAlgebra, level: Subspace, sigma_q: Subspace)
     One echelon elimination: each basis row b of ``level`` becomes the row
     (residue of [b, v_j] for every row v_j of ``sigma_q``, then b itself),
     with the residues in the low columns.  The echelon rows whose pivot
-    falls in the b block span the kernel, in ambient coordinates."""
+    falls in the b block span the kernel, in ambient coordinates.
+
+    The brackets and residues are one sparse product.  The rows of
+    ``sigma_q`` are indexed by coordinate (k -> [(j, (v_j)_k)]), so walking
+    ``ca.ad[i]`` for each i in the support of b meets every non-zero term
+    b_i (v_j)_k [e_i, e_k] of every [b, v_j] in one pass, with no empty
+    bracket tried.  ``Subspace.reduce`` is linear (it scales by the one
+    constant ``span.scale``, the lcm of the pivots, so its divisions are
+    exact), hence the residue of [b, v_j] is the sum of these terms, each
+    applied to the residues of its coordinates; those come from a table
+    that reduces each coordinate at most once per call."""
     span = level.sum_with(sigma_q)
     right = sigma_q.row_vecs()
-    offset = len(right) * ca.dim
+    dim = ca.dim
+    offset = len(right) * dim
+    rows_at: dict[int, list[tuple[int, int]]] = {}
+    for j, v in enumerate(right):
+        for k, x in v.items():
+            rows_at.setdefault(k, []).append((j, x))
+    residue: dict[int, Vec] = {}         # c -> span.reduce({c: 1})
     rows = []
     for b in level.row_vecs():
         row = {offset + c: v for c, v in b.items()}
-        for j, v in enumerate(right):
-            image = ca.bracket(b, v)
-            if image:
-                for c, x in span.reduce(image).items():
-                    row[j * ca.dim + c] = x
+        for i, a in b.items():
+            for k, unit in ca.ad[i].items():
+                at = rows_at.get(k)
+                if at is None:
+                    continue
+                for c, u in unit.items():
+                    res = residue.get(c)
+                    if res is None:
+                        res = residue[c] = span.reduce({c: 1})
+                    if not res:
+                        continue
+                    for j, x in at:
+                        base = j * dim
+                        f = a * x * u
+                        for d, y in res.items():
+                            row[base + d] = row.get(base + d, 0) + f * y
         rows.append(row)
-    solved = Subspace(offset + ca.dim, rows)
-    return Subspace(ca.dim, [
+    solved = Subspace(offset + dim, rows)
+    return Subspace(dim, [
         {c - offset: v for c, v in row.items()} for p, row in solved.rows.items() if p >= offset
     ])
 

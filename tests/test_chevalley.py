@@ -355,21 +355,92 @@ def test_levi_kernels_equal_levels(b3_case):
 def test_cross_check_solves_each_level_once(b3_case, monkeypatch):
     rs, ca, q, cr = b3_case
     calls = []
-    real = ChevalleyAlgebra.bracket
+    real = chevalley.levi_tensor_kernel
 
-    def counting(self, u, v):
+    def counting(*args):
         calls.append(1)
-        return real(self, u, v)
+        return real(*args)
 
-    monkeypatch.setattr(ChevalleyAlgebra, "bracket", counting)
+    monkeypatch.setattr(chevalley, "levi_tensor_kernel", counting)
     q_sub = subspace_from_rootset(ca, q.root_set)
     sq_sub = subspace_from_rootset(ca, cr.sigma_q)
     oracle_filtration(ca, q_sub, sq_sub)
-    oracle_minimality(ca, subspace_from_rootset(ca, q.root_set | cr.sigma_q))
     alone = len(calls)
     calls.clear()
     cross_check(rs, q.root_set, cr.sigma_q, filtration(cr), is_minimal(cr))
-    assert len(calls) == alone > 0
+    assert len(calls) == alone == 4
+
+
+def _naive_kernel(ca: ChevalleyAlgebra, level: Subspace, sigma_q: Subspace) -> Subspace:
+    """The Levi-tensor kernel with one bracket per (level row, sigma_q row)
+    pair and one reduction per non-zero image."""
+    span = level.sum_with(sigma_q)
+    right = sigma_q.row_vecs()
+    offset = len(right) * ca.dim
+    rows = []
+    for b in level.row_vecs():
+        row = {offset + c: v for c, v in b.items()}
+        for j, v in enumerate(right):
+            image = ca.bracket(b, v)
+            if image:
+                for c, x in span.reduce(image).items():
+                    row[j * ca.dim + c] = x
+        rows.append(row)
+    solved = Subspace(offset + ca.dim, rows)
+    return Subspace(ca.dim, [
+        {c - offset: v for c, v in row.items()} for p, row in solved.rows.items() if p >= offset
+    ])
+
+
+def test_levi_tensor_kernel_equals_naive_kernel_on_root_spaces():
+    proper = set()
+    for family in "ABCDG":
+        for rank in range(1, 4):
+            if not is_valid_type(family, rank):
+                continue
+            rs = build_root_system(family, rank)
+            ca = build_chevalley(rs)
+            involutions = enumerate_cayley_involutions(rs, 3)
+            seen = set()
+            for size in range(rank + 1):
+                for qr in combinations(range(1, rank + 1), size):
+                    q = parabolic_from_subset(rs, qr)
+                    for sigma in involutions:
+                        key = (q.root_set, analyze(rs, q, sigma).sigma_q)
+                        if key in seen:
+                            continue
+                        seen.add(key)
+                        sq_sub = subspace_from_rootset(ca, key[1])
+                        for level in oracle_filtration(ca, subspace_from_rootset(ca, key[0]), sq_sub):
+                            ker = levi_tensor_kernel(ca, level, sq_sub)
+                            assert ker == _naive_kernel(ca, level, sq_sub), (family, rank, qr)
+                            proper.add(ker != level)
+    assert proper == {True, False}
+
+
+def test_levi_tensor_kernel_equals_naive_kernel_off_root_spaces():
+    rng = random.Random(2027)
+    scaled, dims = set(), set()
+
+    def random_subspace(dim, count):
+        vecs = []
+        for _ in range(count):
+            coords = rng.sample(range(dim), rng.randint(1, 3))
+            vecs.append({c: rng.choice((-3, -2, -1, 1, 2, 3)) for c in coords})
+        return Subspace(dim, vecs)
+
+    for family, rank in (("A", 2), ("B", 3), ("G", 2)):
+        ca = build_chevalley(build_root_system(family, rank))
+        for _ in range(12):
+            level = random_subspace(ca.dim, rng.randint(2, 6))
+            sq_sub = random_subspace(ca.dim, rng.randint(1, 4))
+            ker = levi_tensor_kernel(ca, level, sq_sub)
+            assert ker == _naive_kernel(ca, level, sq_sub), (family, rank, level.rows, sq_sub.rows)
+            scaled.add(level.sum_with(sq_sub).scale > 1)
+            dims.add((ker.dim == 0, ker.dim == level.dim))
+    # pivots > 1 occur, and kernels that are zero, all of the level and neither
+    assert scaled == {True, False}
+    assert {(True, False), (False, True), (False, False)} <= dims
 
 
 def test_oracle_minimality(b3_case):
@@ -445,12 +516,15 @@ def test_oracle_minimality_equals_naive_loop_off_root_spaces():
     assert verdicts == {True, False}
 
 
-def test_oracle_minimality_brackets_each_pair_once_on_e8(monkeypatch):
-    # the E8 case of the analyze-cold benchmark workload
+def _analyze_cold_e8():
+    """The E8 case of the analyze-cold benchmark workload."""
     rs = build_root_system("E", 8)
-    ca = build_chevalley(rs)
     sigma = cayley_update(rs, identity_involution(rs), (0, 0, 0, 0, 0, 0, 0, 1))
-    cr = analyze(rs, parabolic_from_subset(rs, range(1, 8)), sigma)
+    return build_chevalley(rs), analyze(rs, parabolic_from_subset(rs, range(1, 8)), sigma)
+
+
+def test_oracle_minimality_brackets_each_pair_once_on_e8(monkeypatch):
+    ca, cr = _analyze_cold_e8()
     q_plus = subspace_from_rootset(ca, cr.q_plus)
     m = q_plus.dim
     assert m == 219
@@ -464,3 +538,38 @@ def test_oracle_minimality_brackets_each_pair_once_on_e8(monkeypatch):
     monkeypatch.setattr(ChevalleyAlgebra, "bracket", counting)
     assert oracle_minimality(ca, q_plus) is is_minimal(cr) is True
     assert len(calls) <= m * (m - 1) // 2 + (ca.dim - m) * ca.dim
+
+
+def test_levi_tensor_kernel_work_on_e8(monkeypatch):
+    ca, cr = _analyze_cold_e8()
+    brackets, reduces, per_call = [], [], []
+    real_bracket, real_reduce, real_kernel = (
+        ChevalleyAlgebra.bracket, Subspace.reduce, chevalley.levi_tensor_kernel
+    )
+
+    def counting_bracket(self, u, v):
+        brackets.append(1)
+        return real_bracket(self, u, v)
+
+    def counting_reduce(self, vec):
+        reduces.append(1)
+        return real_reduce(self, vec)
+
+    def counting_kernel(*args):
+        brackets.clear()
+        reduces.clear()
+        ker = real_kernel(*args)
+        per_call.append((len(brackets), len(reduces)))
+        return ker
+
+    monkeypatch.setattr(ChevalleyAlgebra, "bracket", counting_bracket)
+    monkeypatch.setattr(Subspace, "reduce", counting_reduce)
+    monkeypatch.setattr(chevalley, "levi_tensor_kernel", counting_kernel)
+    levels = oracle_filtration(
+        ca, subspace_from_rootset(ca, cr.q.root_set), subspace_from_rootset(ca, cr.sigma_q)
+    )
+    assert [lv.dim for lv in levels] == [191, 164, 163]
+    assert len(per_call) == 3
+    for n_brackets, n_reduces in per_call:
+        assert n_brackets == 0
+        assert 0 < n_reduces <= ca.dim

@@ -1,7 +1,8 @@
 """Hypothesis suites for the algebraic invariants."""
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from crflag.chevalley import Subspace
 from crflag.cralgebra import (
     DEGENERATE,
     ORBIT_CR,
@@ -170,3 +171,24 @@ def test_reflection_closure_and_kappa_symmetry(key, data):
     refl = tuple(b - pairing(rs, beta, gamma) * g for b, g in zip(beta, gamma))
     assert refl in rs.root_code
     assert rs.inner(beta, gamma) == rs.inner(gamma, beta)
+
+
+def _vectors(dim):
+    return st.dictionaries(
+        st.integers(min_value=0, max_value=dim - 1), st.integers(min_value=-4, max_value=4), max_size=dim
+    )
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.data())
+def test_subspace_reduce_is_linear_in_each_coordinate(data):
+    # the identity the Levi-tensor kernel's residue table rests on
+    dim = data.draw(st.integers(min_value=2, max_value=7))
+    sub = Subspace(dim, data.draw(st.lists(_vectors(dim), min_size=1, max_size=4)))
+    assume(sub.scale > 1)
+    vec = data.draw(_vectors(dim))
+    combined: dict[int, int] = {}
+    for k, x in vec.items():
+        for c, y in sub.reduce({k: 1}).items():
+            combined[c] = combined.get(c, 0) + x * y
+    assert sub.reduce(vec) == {c: y for c, y in combined.items() if y}

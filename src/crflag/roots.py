@@ -19,10 +19,16 @@ injectively too, and a positive root has a positive code.
 ``build_root_system`` raises ``InvariantViolation`` if a root ever has a
 coefficient above 6.  The positive closure, the sum table and the
 Chevalley structure constants add and subtract codes, not tuples.
+
+``root_sum_table`` lists, for every root, the roots it adds to a root.
+It is built from the decompositions of the positive roots into two
+positive roots alone: each one gives the twelve sums of a zero-sum triple
+of roots and its negative, and no other pair of roots is tried.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -230,16 +236,49 @@ def kappa(rs: RootSystem, beta: Root, gamma: Root) -> Fraction:
 @lru_cache(maxsize=None)
 def root_sum_table(rs: RootSystem) -> dict[Root, dict[Root, Root]]:
     """Precomputed root sums, per root: alpha -> {beta: alpha+beta} for
-    exactly the beta whose sum with alpha is again a root, both in the
-    order of ``rs.roots``.  Sums are looked up by code, so every value is
-    a root tuple of ``rs``, not a new one."""
-    codes = rs.root_code
-    root_of = {c: r for r, c in codes.items()}.get
-    items = list(codes.items())
-    return {
-        a: {b: s for b, cb in items if (s := root_of(ca + cb)) is not None}
-        for a, ca in items
-    }
+    exactly the beta whose sum with alpha is again a root.  The rows, and
+    the entries of each row, are in the order of ``rs.roots``.  Every value
+    is a root tuple of ``rs``, not a new one.
+
+    The table is read off the decompositions gamma = alpha + beta of the
+    positive roots into two positive roots, alpha before beta; no other
+    pair of roots is tried.  Every sum of two roots is one of the six sums
+    inside a zero-sum triple {alpha, beta, -gamma} or inside its negative,
+    and each such pair of triples comes from exactly one of these
+    decompositions (Bourbaki, Lie groups and Lie algebras, ch. VI, 1).  A
+    decomposition fills its entries in the rows of alpha, beta and gamma.
+    The row of -x is the row of x negated: ids shift by |Phi+|, and the
+    partners' positive and negative halves swap places.
+    """
+    roots = rs.roots
+    n = len(rs.positive_roots)
+    codes = list(rs.root_code.values())[:n]
+    positive_id = {c: i for i, c in enumerate(codes)}.get
+    heights = [sum(beta) for beta in rs.positive_roots]
+    # rows[x]: partner id -> sum id in the row of roots[x], ids being
+    # positions in rs.roots, so roots[x + n] = -roots[x].
+    rows: list[dict[int, int]] = [{} for _ in range(n)]
+    # positive_roots is sorted by height, so the alpha of gamma = roots[k]
+    # are the roots before `half`, those with 2 ht(alpha) <= ht(gamma); at
+    # equal heights both orders turn up, and i < j keeps one.
+    half = 0
+    for k, code in enumerate(codes):
+        while half < n and 2 * heights[half] <= heights[k]:
+            half += 1
+        for i in range(half):
+            j = positive_id(code - codes[i])
+            if j is not None and i < j:
+                rows[i].update({j: k, k + n: j + n})
+                rows[j].update({i: k, k + n: i + n})
+                rows[k].update({i + n: j, j + n: i})
+    negated = roots[n:] + roots[:n]  # negated[x] == -roots[x]
+    positive_rows, negative_rows = [], []
+    for row in rows:
+        ids = sorted(row)
+        m = bisect_left(ids, n)
+        positive_rows.append({roots[p]: roots[row[p]] for p in ids})
+        negative_rows.append({negated[p]: negated[row[p]] for p in ids[m:] + ids[:m]})
+    return dict(zip(roots, positive_rows + negative_rows))
 
 
 def pairing(rs: RootSystem, beta: Root, gamma: Root) -> int:

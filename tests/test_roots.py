@@ -178,20 +178,72 @@ def test_pairing_non_integral_raises():
         pairing(rs, (1, 0), (2, 2))
 
 
-@pytest.mark.parametrize("family,rank", [
-    ("A", 2), ("B", 3), ("G", 2), ("F", 4), ("E", 6), ("E", 8), ("C", 5), ("D", 6), ("A", 12),
-])
+# Every type the sum table is tested on; A30 is the table analyze-cold builds.
+SUM_TABLE_TYPES = [
+    ("A", 1), ("A", 2), ("B", 2), ("B", 3), ("C", 3), ("D", 4), ("G", 2), ("F", 4),
+    ("E", 6), ("E", 7), ("E", 8), ("C", 5), ("D", 6), ("B", 8), ("C", 8), ("D", 8),
+    ("A", 12), ("A", 30),
+]
+
+
+def _negate(root):
+    return tuple(-c for c in root)
+
+
+@pytest.mark.parametrize("family,rank", SUM_TABLE_TYPES)
 def test_root_sum_table_lists_exactly_the_root_sums(family, rank):
+    # Brute force over all ordered pairs, on codes: code(a + b) =
+    # code(a) + code(b), and test_root_codes_are_the_base_expansion checks
+    # the codes themselves.
     rs = build_root_system(family, rank)
     table = root_sum_table(rs)
     assert list(table) == list(rs.roots)
-    for a in rs.roots:
-        expected = {}
-        for b in rs.roots:
-            s = tuple(x + y for x, y in zip(a, b))
-            if s in rs.root_code:
-                expected[b] = s
+    root_of = {c: r for r, c in rs.root_code.items()}
+    items = list(rs.root_code.items())
+    for a, ca in items:
+        expected = {b: root_of[ca + cb] for b, cb in items if ca + cb in root_of}
         assert list(table[a].items()) == list(expected.items())
+
+
+SIMPLY_LACED = [
+    (f, n) for f in "ADE" for n in range(1, 9) if is_valid_type(f, n)
+] + [("A", 30)]
+
+
+@pytest.mark.parametrize("family,rank", SIMPLY_LACED)
+def test_root_sum_rows_have_2h_minus_4_entries_when_simply_laced(family, rank):
+    # In a simply-laced type alpha + beta is a root exactly when
+    # <alpha|beta> = -1, and each root has 2h - 4 such partners, h the
+    # Coxeter number |Phi| / rank (A1: 0, E8: 56, A30: 58).
+    rs = build_root_system(family, rank)
+    h, rem = divmod(len(rs.roots), rank)
+    assert rem == 0
+    assert {len(row) for row in root_sum_table(rs).values()} == {2 * h - 4}
+
+
+# Number of ordered pairs of roots whose sum is a root.
+ROW_TOTALS = {("B", 3): 120, ("C", 4): 336, ("F", 4): 816, ("G", 2): 60}
+
+
+@pytest.mark.parametrize("family,rank", [
+    ("B", 2), ("B", 3), ("B", 5), ("B", 8), ("C", 3), ("C", 4), ("C", 8), ("F", 4), ("G", 2),
+])
+def test_root_sum_row_totals_match_tuple_brute_force(family, rank):
+    rs = build_root_system(family, rank)
+    root_set = set(rs.roots)
+    brute = sum(
+        tuple(map(sum, zip(a, b))) in root_set for a in rs.roots for b in rs.roots
+    )
+    assert sum(map(len, root_sum_table(rs).values())) == brute
+    if (family, rank) in ROW_TOTALS:
+        assert brute == ROW_TOTALS[(family, rank)]
+
+
+@pytest.mark.parametrize("family,rank", SUM_TABLE_TYPES)
+def test_root_sum_table_is_symmetric_under_negation(family, rank):
+    table = root_sum_table(build_root_system(family, rank))
+    for a, row in table.items():
+        assert table[_negate(a)] == {_negate(b): _negate(s) for b, s in row.items()}
 
 
 # sha256 of repr(positive_roots), first 16 hex digits, recorded when the

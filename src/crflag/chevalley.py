@@ -4,7 +4,10 @@ The algebra is spanned by coroots h_1..h_n and one vector x_alpha per
 root.  Structure constants N(alpha,beta) with |N| = p+1 (p the length of
 the downward alpha-string through beta) are fixed by choosing +(p+1) on
 extraspecial pairs and propagating every other sign through the Jacobi
-identity, in integer arithmetic throughout.  They go, with the Cartan
+identity, in integer arithmetic throughout.  They are found one
+decomposition gamma = alpha + beta of a positive root at a time, and each
+one fills the twelve constants of its two zero-sum triples
+{alpha, beta, -gamma} and {-alpha, -beta, gamma}.  They go, with the Cartan
 eigenvalues and the coroots, into one sparse adjoint table ``ad`` that
 holds every non-zero bracket of two basis vectors and is complete once
 built; it is the algebra's only table of structure constants.  The
@@ -37,7 +40,7 @@ from functools import lru_cache
 from itertools import chain, combinations
 from math import gcd, lcm
 
-from .roots import InvariantViolation, Root, RootSystem, pairing
+from .roots import InvariantViolation, Root, RootSystem
 
 Vec = dict[int, int]
 
@@ -61,18 +64,24 @@ def _string_down(root_of: dict[int, Root], alpha: int, beta: int) -> int:
 def _build_n_table(rs: RootSystem) -> dict[tuple[int, int], int]:
     """Constants N(alpha,beta) for every ordered pair with alpha+beta a root.
 
-    Positive pairs are filled in increasing height of the sum; the
-    extraspecial pair of each sum gets +(p+1) and the remaining pairs are
-    solved from a Jacobi relation against the extraspecial pair.  Mixed and
-    negative pairs follow from N(-a,-b) = -N(a,b) and the sum-zero cycle
-    N(a,b)/kappa(c,c) = N(b,c)/kappa(a,a) for a+b+c = 0.
+    Every relation alpha + beta = gamma lies in one zero-sum triple, and
+    one decomposition gamma = alpha + beta of a positive root gives two of
+    them, {alpha, beta, -gamma} and its negative.  The decompositions are
+    taken in increasing height of gamma, alpha before beta in root order;
+    the first, extraspecial, pair of each gamma gets +(p+1) and the others
+    are solved from a Jacobi relation against it, whose constants belong
+    to lower sums or to gamma's extraspecial triple and so are already in
+    the table.  One constant fills the twelve of its two triples through
+    N(b,a) = -N(a,b), N(-a,-b) = -N(a,b) and the cycle
+    N(a,b)/kappa(c,c) = N(b,c)/kappa(a,a) for a+b+c = 0; an ordered pair
+    met twice raises, as does an entry whose modulus is not p+1.
 
     Roots are handled by their integer codes (``rs.root_code``: sums and
     negatives are integer sums and negatives, and a root is positive iff
     its code is), and kappa(a,a) is computed once per root.  All arithmetic
     is on integers: the Jacobi step and a length ratio are exact divisions
-    that raise on a remainder, and a ratio of equal lengths is not applied.
-    The keys of the returned table are pairs of root codes.
+    that raise on a remainder.  The keys of the returned table are pairs
+    of root codes.
     """
     root_of = {c: r for r, c in rs.root_code.items()}
     # rs.positive_roots is ordered by height, then lexicographically
@@ -80,31 +89,30 @@ def _build_n_table(rs: RootSystem) -> dict[tuple[int, int], int]:
     order = {c: i for i, c in enumerate(by_height)}
     # 6 kappa(a, a), an integer
     length = {c: rs.inner(r, r) for c, r in root_of.items()}
-    npos: dict[tuple[int, int], int] = {}
+    table: dict[tuple[int, int], int] = {}
 
     def scaled(n: int, num: int, den: int) -> int:
         """n * num / den, exactly."""
-        if num == den:
-            return n
         val, rem = divmod(n * num, den)
         if rem:
             raise InvariantViolation("a length ratio must scale a structure constant to an integer")
         return val
 
-    def n_any(x: int, y: int) -> int:
-        if x > 0 and y > 0:
-            if order[x] < order[y]:
-                return npos[(x, y)]
-            return -npos[(y, x)]
-        if x < 0 and y < 0:
-            return -n_any(-x, -y)
-        if x < 0:
-            return -n_any(y, x)
-        # x positive, y negative, x+y a root
-        z = -(x + y)
-        if z > 0:
-            return scaled(n_any(z, x), length[z], length[y])
-        return scaled(n_any(y, z), length[z], length[x])
+    def fill(alpha: int, beta: int, n: int) -> None:
+        """Write the triples {alpha, beta, -gamma} and {-alpha, -beta, gamma}
+        from n = N(alpha, beta)."""
+        c = -(alpha + beta)
+        for a, b, nab in ((alpha, beta, n),
+                          (beta, c, scaled(n, length[alpha], length[c])),
+                          (c, alpha, scaled(n, length[beta], length[c]))):
+            for x, y, v in ((a, b, nab), (b, a, -nab), (-a, -b, -nab), (-b, -a, nab)):
+                if (x, y) in table:
+                    raise InvariantViolation(f"N{(root_of[x], root_of[y])} lies in two triples")
+                if abs(v) != _string_down(root_of, x, y) + 1:
+                    raise InvariantViolation(
+                        f"N{(root_of[x], root_of[y])} must be an integer of modulus p+1"
+                    )
+                table[(x, y)] = v
 
     # the first rank roots by height are the simple roots; the pairs of
     # each sum come in increasing order of alpha, extraspecial first
@@ -118,7 +126,7 @@ def _build_n_table(rs: RootSystem) -> dict[tuple[int, int], int]:
         if not pairs:
             raise InvariantViolation("every non-simple positive root is a sum of positive roots")
         ex_alpha, ex_beta = pairs[0]
-        npos[(ex_alpha, ex_beta)] = _string_down(root_of, ex_alpha, ex_beta) + 1
+        fill(ex_alpha, ex_beta, _string_down(root_of, ex_alpha, ex_beta) + 1)
         for alpha, beta in pairs[1:]:
             # Jacobi on (x_{-a1}, x_alpha, x_beta) with (a1, b1) extraspecial:
             # N(alpha,beta) N(-a1,gamma) = -(N(beta,-a1) N(alpha,beta-a1)
@@ -126,33 +134,14 @@ def _build_n_table(rs: RootSystem) -> dict[tuple[int, int], int]:
             acc = 0
             d2 = beta - ex_alpha
             if d2 in root_of:
-                acc += n_any(beta, -ex_alpha) * n_any(alpha, d2)
+                acc += table[(beta, -ex_alpha)] * table[(alpha, d2)]
             d3 = alpha - ex_alpha
             if d3 in root_of:
-                acc += n_any(-ex_alpha, alpha) * n_any(beta, d3)
-            denom = n_any(-ex_alpha, gamma)
-            if denom == 0:
-                raise InvariantViolation("the extraspecial constant N(-a1, gamma) must not vanish")
-            val, rem = divmod(-acc, denom)
-            if rem or abs(val) != _string_down(root_of, alpha, beta) + 1:
-                raise InvariantViolation("structure constant must be an integer of modulus p+1")
-            npos[(alpha, beta)] = val
-
-    table: dict[tuple[int, int], int] = {}
-    for a in root_of:
-        for b in root_of:
-            if a + b in root_of:
-                val = n_any(a, b)
-                if abs(val) != _string_down(root_of, a, b) + 1:
-                    raise InvariantViolation(
-                        f"N{(root_of[a], root_of[b])} must be an integer of modulus p+1"
-                    )
-                table[(a, b)] = val
-    for (a, b), n in table.items():
-        if table[(b, a)] != -n:
-            raise InvariantViolation(f"N(b,a) must be -N(a,b) for {(root_of[a], root_of[b])}")
-        if table[(-a, -b)] != -n:
-            raise InvariantViolation(f"N(-a,-b) must be -N(a,b) for {(root_of[a], root_of[b])}")
+                acc += table[(-ex_alpha, alpha)] * table[(beta, d3)]
+            val, rem = divmod(-acc, table[(-ex_alpha, gamma)])
+            if rem:
+                raise InvariantViolation("the Jacobi relation must give an integer constant")
+            fill(alpha, beta, val)
     return table
 
 
@@ -245,7 +234,8 @@ def build_chevalley(rs: RootSystem) -> ChevalleyAlgebra:
                 coroot[i] = val
         ad[x][code_index[-rs.root_code[beta]]] = coroot
         for i in range(n):
-            val = pairing(rs, beta, rs.simple(i + 1))
+            # <beta|alpha_i> = sum_j beta_j <alpha_j|alpha_i>
+            val = sum(c * rs.cartan_matrix[j][i] for j, c in enumerate(beta) if c)
             if val:
                 ad[i][x] = {x: val}
                 ad[x][i] = {x: -val}

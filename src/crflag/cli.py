@@ -32,6 +32,10 @@ class UsageError(ValueError):
     """A flag value failed validation; the message names the flag."""
 
 
+# analyze's cost grows about as rank^3 on the A-D families
+MAX_ANALYZE_RANK = 100
+
+
 # ---------------------------------------------------------------------------
 # parsing helpers
 
@@ -173,6 +177,8 @@ def _sigma_from_args(rs: RootSystem, args) -> InvolutionData:
 
 
 def cmd_analyze(args) -> int:
+    if args.rank > MAX_ANALYZE_RANK:
+        raise UsageError(f"--rank: analyze is bounded at rank {MAX_ANALYZE_RANK}, got {args.rank}")
     if args.oracle:
         _check_oracle_rank(args.rank, "--oracle")
     try:

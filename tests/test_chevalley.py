@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import hashlib
 import random
 from fractions import Fraction
@@ -28,7 +29,7 @@ from crflag.involution import (
     involution_from_matrix,
 )
 from crflag.parabolic import parabolic_from_subset
-from crflag.roots import build_root_system, is_valid_type
+from crflag.roots import InvariantViolation, build_root_system, is_valid_type
 
 
 @pytest.fixture(scope="module")
@@ -81,7 +82,9 @@ def test_a2_n_constant():
 
 
 def test_n_table_antisymmetry_and_negation():
-    for family, rank in (("B", 3), ("G", 2), ("C", 3)):
+    # no digest covers the A and D types; reading every sum pair off ``ad``
+    # also shows that the triples reach each of them
+    for family, rank in (("B", 3), ("G", 2), ("C", 3), ("A", 5), ("D", 5)):
         table = _structure_constants(build_chevalley(build_root_system(family, rank)))
         for (a, b), n in table.items():
             assert table[(b, a)] == -n
@@ -92,7 +95,7 @@ def test_n_table_antisymmetry_and_negation():
 
 def test_n_table_chevalley_integrality():
     # |N(a,b)| = p+1 with p the downward a-string length through b
-    for family, rank in (("B", 3), ("G", 2), ("F", 4)):
+    for family, rank in (("B", 3), ("G", 2), ("F", 4), ("A", 5), ("D", 5)):
         rs = build_root_system(family, rank)
         ca = build_chevalley(rs)
         for (a, b), n in _structure_constants(ca).items():
@@ -174,6 +177,18 @@ def test_n_table_computes_each_root_length_once(monkeypatch):
     monkeypatch.setattr(type(rs), "inner", counting_inner)
     chevalley._build_n_table(rs)
     assert sorted(calls) == sorted((beta, beta) for beta in rs.roots)
+    # the Cartan eigenvalues come off the Cartan matrix, not a pairing
+    calls.clear()
+    build_chevalley.__wrapped__(rs)
+    assert calls and all(beta == gamma for beta, gamma in calls)
+
+
+def test_n_table_rejects_a_pair_in_two_triples():
+    # a repeated positive root repeats its decompositions
+    rs = build_root_system("B", 3)
+    rs = dataclasses.replace(rs, positive_roots=rs.positive_roots + rs.positive_roots[-1:])
+    with pytest.raises(InvariantViolation, match="lies in two triples"):
+        chevalley._build_n_table(rs)
 
 
 def test_oracle_imports_nothing_of_the_fast_path():

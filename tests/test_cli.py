@@ -423,6 +423,19 @@ def test_analyze_oracle_above_rank_eight_exits_two(capsys, monkeypatch):
     assert "bounded at rank 8, got 9" in err
 
 
+@pytest.mark.parametrize("rank", ["101", "1000000"])
+def test_analyze_above_rank_hundred_exits_two(capsys, monkeypatch, rank):
+    # rejected before any table is built
+    def no_build(*_args):
+        raise AssertionError("build_root_system called")
+
+    monkeypatch.setattr(cli, "build_root_system", no_build)
+    code, out, err = run_cli(capsys, "analyze", "--family", "A", "--rank", rank, "--split")
+    assert code == 2 and out == ""
+    assert err.startswith("error: --rank:")
+    assert f"bounded at rank 100, got {rank}" in err
+
+
 def test_survey_theorem_violation_exits_one(capsys, monkeypatch):
     def boom(*args, **kwargs):
         from crflag.survey import TheoremViolation

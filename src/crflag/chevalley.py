@@ -17,6 +17,9 @@ construction verifies the Jacobi identity on basis triples afterwards
 Subspaces are kept in a canonical integer echelon form (primitive rows,
 positive pivots, fully reduced), one row per pivot, so subspace equality
 is plain equality of the pivot -> row maps and every computation is exact.
+The back-reduction clears from each row only the larger pivot columns it
+holds: the rows of larger pivots are fully reduced before it, so no
+elimination brings in another pivot column.
 
 This module re-derives the kernel filtration and minimality by honest
 bracket arithmetic.  Each level of the filtration is the left kernel of
@@ -27,7 +30,9 @@ by coordinate, and its residues modulo level + sigma(q) come from a table
 that reduces each coordinate once, which is exact because the reduction
 is linear.  Minimality is the fixpoint of
 V <- V + [V, V], reached semi-naively: each round brackets only the
-directions the round before added.  The module consumes the
+directions the round before added, as one sparse product of the new rows
+with ``ad`` and every row so far indexed by coordinate, with residues from
+the same per-coordinate table.  The module consumes the
 involution only through the image root set of the parabolic, never as a
 map on the algebra.
 """
@@ -182,17 +187,23 @@ class ChevalleyAlgebra:
 
 
 def _jacobi_defect(ca: ChevalleyAlgebra, i: int, j: int, k: int) -> Vec:
-    ei, ej, ek = {i: 1}, {j: 1}, {k: 1}
+    """[e_i, [e_j, e_k]] + [e_j, [e_k, e_i]] + [e_k, [e_i, e_j]], with its
+    zero entries dropped.  Each inner bracket is the one entry
+    ``ad[v].get(w)``, and ``ad[u]`` is applied to it."""
+    ad = ca.ad
     out: Vec = {}
-    for u, vw in ((ei, (ej, ek)), (ej, (ek, ei)), (ek, (ei, ej))):
-        term = ca.bracket(u, ca.bracket(*vw))
-        for c, val in term.items():
-            new = out.get(c, 0) + val
-            if new:
-                out[c] = new
-            elif c in out:
-                del out[c]
-    return out
+    for u, v, w in ((i, j, k), (j, k, i), (k, i, j)):
+        inner = ad[v].get(w)
+        if inner is None:
+            continue
+        row = ad[u]
+        for c, x in inner.items():
+            unit = row.get(c)
+            if unit is None:
+                continue
+            for d, y in unit.items():
+                out[d] = out.get(d, 0) + x * y
+    return {d: x for d, x in out.items() if x}
 
 
 def jacobi_check(ca: ChevalleyAlgebra, sample: int | None = None) -> int:
@@ -221,6 +232,7 @@ def build_chevalley(rs: RootSystem) -> ChevalleyAlgebra:
     root_index = {beta: idx for idx, beta in enumerate(rs.roots, start=n)}
     code_index = {rs.root_code[beta]: idx for beta, idx in root_index.items()}
 
+    cartan = rs.cartan_matrix
     ad: list[dict[int, Vec]] = [{} for _ in range(n + len(rs.roots))]
     for beta in rs.roots:
         x = root_index[beta]
@@ -233,9 +245,13 @@ def build_chevalley(rs: RootSystem) -> ChevalleyAlgebra:
             if val:
                 coroot[i] = val
         ad[x][code_index[-rs.root_code[beta]]] = coroot
-        for i in range(n):
-            # <beta|alpha_i> = sum_j beta_j <alpha_j|alpha_i>
-            val = sum(c * rs.cartan_matrix[j][i] for j, c in enumerate(beta) if c)
+        # <beta|alpha_i> = sum_j beta_j <alpha_j|alpha_i>: the combination
+        # of the Cartan-matrix rows with beta's coefficients
+        eigen = [0] * n
+        for c, arow in zip(beta, cartan):
+            if c:
+                eigen = [e + c * a for e, a in zip(eigen, arow)]
+        for i, val in enumerate(eigen):
             if val:
                 ad[i][x] = {x: val}
                 ad[x][i] = {x: -val}
@@ -298,13 +314,15 @@ class Subspace:
                 else:
                     by_pivot[p] = _primitive(row)
                     break
-        # back-reduce from the largest pivot down, then normalize
+        # back-reduce from the largest pivot down, then normalize.  The rows
+        # of larger pivots are fully reduced already, so eliminating one of
+        # their pivots adds no entry at another pivot column: a row needs
+        # only the larger pivot columns it holds, in increasing order.
         pivots = sorted(by_pivot)
         for p in reversed(pivots):
             row = by_pivot[p]
-            for q in pivots:
-                if q > p and q in row:
-                    row = _eliminate(row, by_pivot[q], q)
+            for q in sorted(c for c in row if c > p and c in by_pivot):
+                row = _eliminate(row, by_pivot[q], q)
             by_pivot[p] = _primitive(row)
         self.rows = {p: by_pivot[p] for p in pivots}
         self.scale = lcm(*(row[p] for p, row in self.rows.items()))
@@ -461,19 +479,52 @@ def oracle_minimality(ca: ChevalleyAlgebra, q_plus: Subspace) -> bool:
 
     Semi-naive: after a round, the brackets of the rows it started from
     lie in V, so the next round brackets only the directions it added (the
-    echelon rows of the non-zero residues mod V), against every earlier
-    row and against each other once."""
+    echelon rows of the residues mod V), against every earlier row and
+    against each other once.
+
+    Each round is one sparse product, as in ``levi_tensor_kernel``.  Every
+    row so far is numbered and indexed by coordinate (k -> [(j, (v_j)_k)]),
+    so walking ``ca.ad[i]`` for each i in the support of a new row u meets
+    every non-zero term of every [u, v_j] once.  The residue of [u, v_j]
+    mod V is the sum of these terms applied to the residues of their
+    coordinates, which is exact because ``Subspace.reduce`` is linear; each
+    coordinate is reduced at most once per round."""
     span = q_plus
-    old: list[Vec] = []
+    rows_at: dict[int, list[tuple[int, int]]] = {}
+    count = 0                            # rows numbered so far
     new = q_plus.row_vecs()
     while new and span.dim < ca.dim:
+        first = count
+        for v in new:
+            for k, y in v.items():
+                rows_at.setdefault(k, []).append((count, y))
+            count += 1
+        residue: dict[int, Vec] = {}     # c -> span.reduce({c: 1})
         residues = []
-        for i, u in enumerate(new):
-            for v in chain(old, new[i + 1:]):
-                image = ca.bracket(u, v)
-                if image and (res := span.reduce(image)):
-                    residues.append(res)
-        old.extend(new)
+        for g, u in enumerate(new, start=first):
+            # the terms of [u, v_j] for j < first (earlier rounds) or j > g
+            acc: dict[int, Vec] = {}
+            for i, x in u.items():
+                for k, unit in ca.ad[i].items():
+                    at = rows_at.get(k)
+                    if at is None:
+                        continue
+                    for c, z in unit.items():
+                        res = residue.get(c)
+                        if res is None:
+                            res = residue[c] = span.reduce({c: 1})
+                        if not res:
+                            continue
+                        for j, y in at:
+                            if first <= j <= g:
+                                continue
+                            out = acc.get(j)
+                            if out is None:
+                                out = acc[j] = {}
+                            f = x * y * z
+                            for d, r in res.items():
+                                out[d] = out.get(d, 0) + f * r
+            residues.extend(acc.values())
         added = Subspace(ca.dim, residues)
         new = added.row_vecs()
         span = span.sum_with(added)

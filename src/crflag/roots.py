@@ -30,7 +30,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from operator import add
 
@@ -226,10 +225,14 @@ def build_root_system(family: str, rank: int) -> RootSystem:
     return rs
 
 
-def kappa(rs: RootSystem, beta: Root, gamma: Root) -> Fraction:
+def kappa(rs: RootSystem, beta: Root, gamma: Root) -> "Fraction":
     """The invariant form on the root lattice (long roots have kappa=2).
     The package reads ``RootSystem.inner`` instead; ``kappa`` stays while
-    the benchmark still declares its ``roots.kappa.self_s`` metric."""
+    the benchmark still declares its ``roots.kappa.self_s`` metric.
+    ``fractions`` is imported here, so ``import crflag`` does not load it
+    (nor ``decimal`` and ``numbers`` with it)."""
+    from fractions import Fraction
+
     return Fraction(rs.inner(beta, gamma), 6)
 
 
@@ -304,9 +307,7 @@ def format_root(root: Root) -> str:
     """Render a lattice vector: digit string like "-112" when every
     coefficient fits in one digit and the rank is at most 9, otherwise
     comma-separated signed integers in parentheses."""
-    rank = len(root)
-    uniform = all(c >= 0 for c in root) or all(c <= 0 for c in root)
-    if rank <= 9 and uniform and all(abs(c) <= 9 for c in root):
+    if len(root) <= 9 and (min(root) >= 0 or max(root) <= 0) and max(map(abs, root)) <= 9:
         digits = "".join(str(abs(c)) for c in root)
         return "-" + digits if any(c < 0 for c in root) else digits
     return "(" + ",".join(str(c) for c in root) + ")"

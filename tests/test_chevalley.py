@@ -219,9 +219,32 @@ def test_jacobi_exhaustive_small_ranks(family, rank):
     assert jacobi_check(ca, sample=None) == dim * (dim - 1) * (dim - 2) // 6
 
 
-def test_jacobi_sampled_rank_five():
+def test_jacobi_sampled_rank_five(monkeypatch):
     ca = build_chevalley(build_root_system("B", 5))
+    seen = []
+    real = chevalley._jacobi_defect
+
+    def recording(ca, i, j, k):
+        seen.append((i, j, k))
+        return real(ca, i, j, k)
+
+    monkeypatch.setattr(chevalley, "_jacobi_defect", recording)
     assert jacobi_check(ca, sample=500) == 500
+    rng = random.Random(20240 + ca.dim)
+    assert seen == [tuple(rng.sample(range(ca.dim), 3)) for _ in range(500)]
+
+
+def test_jacobi_check_catches_one_wrong_sign():
+    rs = build_root_system("B", 3)
+    ca = build_chevalley(rs)
+    ad = [{j: dict(unit) for j, unit in row.items()} for row in ca.ad]
+    i, j = ca.root_index[(1, 0, 0)], ca.root_index[(0, 1, 0)]
+    ((k, n),) = ad[i][j].items()
+    ad[i][j] = {k: -n}
+    broken = dataclasses.replace(ca, ad=ad)
+    with pytest.raises(InvariantViolation, match="Jacobi fails"):
+        jacobi_check(broken)
+    assert jacobi_check(ca) == ca.dim * (ca.dim - 1) * (ca.dim - 2) // 6
 
 
 def test_rank_bound():
@@ -263,6 +286,46 @@ def test_subspace_reduce_is_linear():
     assert not set(sub.reduce(total)) & set(sub.rows)
     assert sub.contains({0: 4, 1: 2, 2: 3, 3: 1})
     assert not sub.contains({1: 1})
+
+
+def _quadratic_subspace_rows(vectors) -> dict:
+    """The echelon rows of ``Subspace`` with a back-reduction that tests
+    every larger pivot against every row, O(pivots^2)."""
+    by_pivot: dict = {}
+    for v in vectors:
+        row = {c: int(x) for c, x in v.items() if x}
+        while row:
+            p = min(row)
+            if p in by_pivot:
+                row = chevalley._eliminate(row, by_pivot[p], p)
+            else:
+                by_pivot[p] = chevalley._primitive(row)
+                break
+    pivots = sorted(by_pivot)
+    for p in reversed(pivots):
+        row = by_pivot[p]
+        for q in pivots:
+            if q > p and q in row:
+                row = chevalley._eliminate(row, by_pivot[q], q)
+        by_pivot[p] = chevalley._primitive(row)
+    return {p: by_pivot[p] for p in pivots}
+
+
+def test_subspace_back_reduction_equals_quadratic_loop():
+    rng = random.Random(31)
+    reduced = set()
+    for _ in range(300):
+        dim = rng.randint(1, 14)
+        vecs = []
+        for _ in range(rng.randint(1, dim + 3)):
+            coords = rng.sample(range(dim), rng.randint(1, min(dim, 6)))
+            vecs.append({c: rng.randint(-5, 5) for c in coords})
+        sub = Subspace(dim, vecs)
+        assert sub.rows == _quadratic_subspace_rows(vecs), vecs
+        assert list(sub.rows) == sorted(sub.rows)
+        reduced.add(any(len(row) > 1 for row in sub.rows.values()))
+    # rows with entries off their pivot occur, as do spaces of unit rows
+    assert reduced == {True, False}
 
 
 def _rank(rows: list[dict[int, int]]) -> int:
@@ -551,8 +614,25 @@ def test_oracle_minimality_brackets_each_pair_once_on_e8(monkeypatch):
         return real(self, u, v)
 
     monkeypatch.setattr(ChevalleyAlgebra, "bracket", counting)
+    reduces, per_round = [], []
+    real_reduce, real_sum_with = Subspace.reduce, Subspace.sum_with
+
+    def counting_reduce(self, vec):
+        reduces.append(1)
+        return real_reduce(self, vec)
+
+    def counting_sum_with(self, other):
+        # one call closes each round
+        per_round.append(len(reduces))
+        reduces.clear()
+        return real_sum_with(self, other)
+
+    monkeypatch.setattr(Subspace, "reduce", counting_reduce)
+    monkeypatch.setattr(Subspace, "sum_with", counting_sum_with)
     assert oracle_minimality(ca, q_plus) is is_minimal(cr) is True
-    assert len(calls) <= m * (m - 1) // 2 + (ca.dim - m) * ca.dim
+    assert not calls
+    assert per_round and not reduces
+    assert all(0 < n <= ca.dim for n in per_round)
 
 
 def test_levi_tensor_kernel_work_on_e8(monkeypatch):

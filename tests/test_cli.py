@@ -577,3 +577,19 @@ def test_import_precomputes_nothing():
     out, err = proc.communicate(timeout=60)
     assert proc.returncode == 0, err
     assert out.split() == [b"[0,", b"0,", b"0]"]
+
+
+_IMPORT_LOADS_NO_NUMBER_TOWER = """
+import sys
+import crflag
+print(sorted(m for m in ("fractions", "decimal") if m in sys.modules))
+"""
+
+
+def test_import_loads_no_fractions_or_decimal():
+    # ``fractions`` pulls in ``decimal`` and ``numbers``, and every benchmark
+    # interpreter pays for them in setup_s; only ``roots.kappa`` needs it
+    proc = _python("-c", _IMPORT_LOADS_NO_NUMBER_TOWER, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    out, err = proc.communicate(timeout=60)
+    assert proc.returncode == 0, err
+    assert out.split() == [b"[]"]

@@ -391,9 +391,13 @@ def test_format_and_parse():
 
 
 def test_rank_ten_format_roundtrip():
-    rs = build_root_system("A", 10)
-    for beta in rs.roots:
-        assert parse_root(format_root(beta), 10) == beta
+    # above rank 9 every root takes the parenthesised form
+    for family, rank in (("A", 10), ("A", 12), ("B", 10), ("D", 10), ("E", 8)):
+        rs = build_root_system(family, rank)
+        for beta in rs.roots:
+            text = format_root(beta)
+            assert text.startswith("(") == (rank > 9)
+            assert parse_root(text, rank) == beta
 
 
 def test_root_system_cached_and_shared():

@@ -24,17 +24,14 @@ elimination brings in another pivot column.
 This module re-derives the kernel filtration and minimality by honest
 bracket arithmetic.  Each level of the filtration is the left kernel of
 the Levi-form bracket tensor of the level before, solved by one echelon
-elimination (``levi_tensor_kernel``).  Its brackets are one sparse
-product of the level's rows with ``ad`` and the rows of sigma(q) indexed
-by coordinate, and its residues modulo level + sigma(q) come from a table
-that reduces each coordinate once, which is exact because the reduction
-is linear.  Minimality is the fixpoint of
+elimination (``levi_tensor_kernel``).  Minimality is the fixpoint of
 V <- V + [V, V], reached semi-naively: each round brackets only the
-directions the round before added, as one sparse product of the new rows
-with ``ad`` and every row so far indexed by coordinate, with residues from
-the same per-coordinate table.  The module consumes the
-involution only through the image root set of the parabolic, never as a
-map on the algebra.
+directions the round before added (``oracle_minimality``).  Both take
+their brackets, already reduced modulo a subspace, from one sparse
+product of a row with ``ad`` and rows indexed by coordinate
+(``_bracket_residues``).  The module consumes the involution only
+through the image root set of the parabolic, never as a map on the
+algebra.
 """
 
 from __future__ import annotations
@@ -169,6 +166,10 @@ class ChevalleyAlgebra:
     ad: list[dict[int, Vec]]
 
     def bracket(self, u: Vec, v: Vec) -> Vec:
+        """[u, v] of two vectors, with its zero entries dropped.  The oracle
+        brackets rows in bulk through ``_bracket_residues`` and does not
+        call this; it is the one-pair-at-a-time reference that the tests
+        compare that product with."""
         out: Vec = {}
         for i, a in u.items():
             row = self.ad[i]
@@ -404,6 +405,44 @@ def subspace_root_content(ca: ChevalleyAlgebra, sub: Subspace) -> tuple[frozense
     return frozenset(roots), cartan
 
 
+def _bracket_residues(ca: ChevalleyAlgebra, u: Vec, rows_at: dict[int, list[tuple[int, int]]],
+                      residue: dict[int, Vec], span: Subspace) -> dict[int, Vec]:
+    """The residue of [u, v_j] modulo ``span`` for every indexed row v_j,
+    as {j: residue}, the residues possibly holding zero entries; a j whose
+    residue is zero may be missing.
+
+    ``rows_at`` indexes the rows by coordinate (k -> [(j, (v_j)_k)]), so
+    walking ``ca.ad[i]`` for each i in the support of u meets every
+    non-zero term u_i (v_j)_k [e_i, e_k] of every [u, v_j] in one pass,
+    with no empty bracket tried.  ``Subspace.reduce`` is linear (it scales
+    by the one constant ``span.scale``, the lcm of the pivots, so its
+    divisions are exact), hence the residue of [u, v_j] is the sum of these
+    terms, each applied to the residues of its coordinates.  Those are kept
+    in ``residue`` (c -> residue of e_c), which the caller shares between
+    the calls against one span, so each coordinate is reduced at most once
+    per span."""
+    out: dict[int, Vec] = {}
+    for i, x in u.items():
+        for k, unit in ca.ad[i].items():
+            at = rows_at.get(k)
+            if at is None:
+                continue
+            for c, z in unit.items():
+                res = residue.get(c)
+                if res is None:
+                    res = residue[c] = span.reduce({c: 1})
+                if not res:
+                    continue
+                for j, y in at:
+                    acc = out.get(j)
+                    if acc is None:
+                        acc = out[j] = {}
+                    f = x * y * z
+                    for d, r in res.items():
+                        acc[d] = acc.get(d, 0) + f * r
+    return out
+
+
 def levi_tensor_kernel(ca: ChevalleyAlgebra, level: Subspace, sigma_q: Subspace) -> Subspace:
     """Left kernel of the bracket tensor level x sigma_q -> g / (level + sigma_q),
     {w in level : [w, sigma_q] inside level + sigma_q}.
@@ -411,45 +450,22 @@ def levi_tensor_kernel(ca: ChevalleyAlgebra, level: Subspace, sigma_q: Subspace)
     One echelon elimination: each basis row b of ``level`` becomes the row
     (residue of [b, v_j] for every row v_j of ``sigma_q``, then b itself),
     with the residues in the low columns.  The echelon rows whose pivot
-    falls in the b block span the kernel, in ambient coordinates.
-
-    The brackets and residues are one sparse product.  The rows of
-    ``sigma_q`` are indexed by coordinate (k -> [(j, (v_j)_k)]), so walking
-    ``ca.ad[i]`` for each i in the support of b meets every non-zero term
-    b_i (v_j)_k [e_i, e_k] of every [b, v_j] in one pass, with no empty
-    bracket tried.  ``Subspace.reduce`` is linear (it scales by the one
-    constant ``span.scale``, the lcm of the pivots, so its divisions are
-    exact), hence the residue of [b, v_j] is the sum of these terms, each
-    applied to the residues of its coordinates; those come from a table
-    that reduces each coordinate at most once per call."""
+    falls in the b block span the kernel, in ambient coordinates."""
     span = level.sum_with(sigma_q)
-    right = sigma_q.row_vecs()
     dim = ca.dim
-    offset = len(right) * dim
+    offset = sigma_q.dim * dim
     rows_at: dict[int, list[tuple[int, int]]] = {}
-    for j, v in enumerate(right):
+    for j, v in enumerate(sigma_q.row_vecs()):
         for k, x in v.items():
             rows_at.setdefault(k, []).append((j, x))
-    residue: dict[int, Vec] = {}         # c -> span.reduce({c: 1})
+    residue: dict[int, Vec] = {}
     rows = []
     for b in level.row_vecs():
         row = {offset + c: v for c, v in b.items()}
-        for i, a in b.items():
-            for k, unit in ca.ad[i].items():
-                at = rows_at.get(k)
-                if at is None:
-                    continue
-                for c, u in unit.items():
-                    res = residue.get(c)
-                    if res is None:
-                        res = residue[c] = span.reduce({c: 1})
-                    if not res:
-                        continue
-                    for j, x in at:
-                        base = j * dim
-                        f = a * x * u
-                        for d, y in res.items():
-                            row[base + d] = row.get(base + d, 0) + f * y
+        for j, res in _bracket_residues(ca, b, rows_at, residue, span).items():
+            base = j * dim
+            for d, y in res.items():
+                row[base + d] = y
         rows.append(row)
     solved = Subspace(offset + dim, rows)
     return Subspace(dim, [
@@ -479,55 +495,29 @@ def oracle_minimality(ca: ChevalleyAlgebra, q_plus: Subspace) -> bool:
 
     Semi-naive: after a round, the brackets of the rows it started from
     lie in V, so the next round brackets only the directions it added (the
-    echelon rows of the residues mod V), against every earlier row and
-    against each other once.
-
-    Each round is one sparse product, as in ``levi_tensor_kernel``.  Every
-    row so far is numbered and indexed by coordinate (k -> [(j, (v_j)_k)]),
-    so walking ``ca.ad[i]`` for each i in the support of a new row u meets
-    every non-zero term of every [u, v_j] once.  The residue of [u, v_j]
-    mod V is the sum of these terms applied to the residues of their
-    coordinates, which is exact because ``Subspace.reduce`` is linear; each
-    coordinate is reduced at most once per round."""
+    echelon rows of the residues mod V).  Each new row is bracketed against
+    every row indexed so far and only then indexed itself, so every
+    unordered pair of rows is bracketed once and no row with itself.  The
+    residues are reduced mod V, so each round adds its full dimension to V;
+    a round that does not would repeat forever, and raises."""
     span = q_plus
     rows_at: dict[int, list[tuple[int, int]]] = {}
-    count = 0                            # rows numbered so far
+    count = 0                            # rows indexed so far
     new = q_plus.row_vecs()
     while new and span.dim < ca.dim:
-        first = count
-        for v in new:
-            for k, y in v.items():
+        residue: dict[int, Vec] = {}
+        residues = []
+        for u in new:
+            residues.extend(_bracket_residues(ca, u, rows_at, residue, span).values())
+            for k, y in u.items():
                 rows_at.setdefault(k, []).append((count, y))
             count += 1
-        residue: dict[int, Vec] = {}     # c -> span.reduce({c: 1})
-        residues = []
-        for g, u in enumerate(new, start=first):
-            # the terms of [u, v_j] for j < first (earlier rounds) or j > g
-            acc: dict[int, Vec] = {}
-            for i, x in u.items():
-                for k, unit in ca.ad[i].items():
-                    at = rows_at.get(k)
-                    if at is None:
-                        continue
-                    for c, z in unit.items():
-                        res = residue.get(c)
-                        if res is None:
-                            res = residue[c] = span.reduce({c: 1})
-                        if not res:
-                            continue
-                        for j, y in at:
-                            if first <= j <= g:
-                                continue
-                            out = acc.get(j)
-                            if out is None:
-                                out = acc[j] = {}
-                            f = x * y * z
-                            for d, r in res.items():
-                                out[d] = out.get(d, 0) + f * r
-            residues.extend(acc.values())
         added = Subspace(ca.dim, residues)
         new = added.row_vecs()
-        span = span.sum_with(added)
+        grown = span.sum_with(added)
+        if grown.dim != span.dim + added.dim:
+            raise InvariantViolation("each minimality round must add only new directions")
+        span = grown
     return span.dim == ca.dim
 
 

@@ -50,22 +50,18 @@ def _parse_index_list(text: str, flag: str) -> list[int]:
 
 
 def _parse_root_list(text: str, rank: int, flag: str):
-    roots = []
+    """'|'-separated integer vectors of length ``rank``, as tuples."""
+    vectors = []
     for part in text.split("|"):
-        coeffs = _parse_index_list(part, flag)
-        if len(coeffs) != rank:
-            raise UsageError(f"{flag}: root {part!r} needs {rank} coefficients")
-        roots.append(tuple(coeffs))
-    return roots
+        entries = _parse_index_list(part, flag)
+        if len(entries) != rank:
+            raise UsageError(f"{flag}: {part!r} needs {rank} entries")
+        vectors.append(tuple(entries))
+    return vectors
 
 
 def _parse_matrix(text: str, rank: int, flag: str):
-    rows = []
-    for part in text.split("|"):
-        row = _parse_index_list(part, flag)
-        if len(row) != rank:
-            raise UsageError(f"{flag}: row {part!r} needs {rank} entries")
-        rows.append(tuple(row))
+    rows = _parse_root_list(text, rank, flag)
     if len(rows) != rank:
         raise UsageError(f"{flag}: expected {rank} rows")
     return tuple(rows)

@@ -594,6 +594,14 @@ def test_oracle_minimality_equals_naive_loop_off_root_spaces():
     assert verdicts == {True, False}
 
 
+def test_oracle_minimality_rejects_a_round_that_adds_nothing_new(b3_case, monkeypatch):
+    _, ca, q, _ = b3_case
+    # residues that lie in V already: the round would repeat forever
+    monkeypatch.setattr(chevalley, "_bracket_residues", lambda ca, u, *_: {0: dict(u)})
+    with pytest.raises(InvariantViolation, match="new directions"):
+        oracle_minimality(ca, subspace_from_rootset(ca, q.root_set))
+
+
 def _analyze_cold_e8():
     """The E8 case of the analyze-cold benchmark workload."""
     rs = build_root_system("E", 8)
@@ -627,12 +635,29 @@ def test_oracle_minimality_brackets_each_pair_once_on_e8(monkeypatch):
         reduces.clear()
         return real_sum_with(self, other)
 
+    seen, index = [], []
+    real_residues = chevalley._bracket_residues
+
+    def recording_residues(ca, u, rows_at, residue, span):
+        # the number of rows indexed when u is bracketed against them
+        seen.append(len({j for at in rows_at.values() for j, _ in at}))
+        index.append(rows_at)
+        return real_residues(ca, u, rows_at, residue, span)
+
     monkeypatch.setattr(Subspace, "reduce", counting_reduce)
     monkeypatch.setattr(Subspace, "sum_with", counting_sum_with)
+    monkeypatch.setattr(chevalley, "_bracket_residues", recording_residues)
     assert oracle_minimality(ca, q_plus) is is_minimal(cr) is True
     assert not calls
     assert per_round and not reduces
     assert all(0 < n <= ca.dim for n in per_round)
+    # each row is bracketed against the rows before it, then indexed: every
+    # unordered pair once, no row with itself
+    assert all(rows_at is index[0] for rows_at in index)
+    n = len({j for at in index[0].values() for j, _ in at})
+    assert m <= n < ca.dim
+    assert sum(seen) == n * (n - 1) // 2
+    assert seen == list(range(n))
 
 
 def test_levi_tensor_kernel_work_on_e8(monkeypatch):
@@ -650,16 +675,27 @@ def test_levi_tensor_kernel_work_on_e8(monkeypatch):
         reduces.append(1)
         return real_reduce(self, vec)
 
-    def counting_kernel(*args):
+    seen = []
+    real_residues = chevalley._bracket_residues
+
+    def recording_residues(ca, u, rows_at, residue, span):
+        seen.append(len({j for at in rows_at.values() for j, _ in at}))
+        return real_residues(ca, u, rows_at, residue, span)
+
+    def counting_kernel(ca, level, sigma_q):
         brackets.clear()
         reduces.clear()
-        ker = real_kernel(*args)
+        seen.clear()
+        ker = real_kernel(ca, level, sigma_q)
+        # one product per row of the level, each against every row of sigma(q)
+        assert seen == [sigma_q.dim] * level.dim
         per_call.append((len(brackets), len(reduces)))
         return ker
 
     monkeypatch.setattr(ChevalleyAlgebra, "bracket", counting_bracket)
     monkeypatch.setattr(Subspace, "reduce", counting_reduce)
     monkeypatch.setattr(chevalley, "levi_tensor_kernel", counting_kernel)
+    monkeypatch.setattr(chevalley, "_bracket_residues", recording_residues)
     levels = oracle_filtration(
         ca, subspace_from_rootset(ca, cr.q.root_set), subspace_from_rootset(ca, cr.sigma_q)
     )

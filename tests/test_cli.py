@@ -246,12 +246,16 @@ def test_analyze_degenerate_case_reports_witness(capsys):
          "--sigma-matrix", "2,0,0|0,2,0|0,0,2"),
         ("analyze", "--family", "B", "--rank", "3", "--parabolic", "1",
          "--sigma-matrix", "1,0|0,1"),
+        ("analyze", "--family", "B", "--rank", "3", "--parabolic", "1",
+         "--sigma-matrix", "1,0,0|0,1,0"),
     ],
 )
 def test_validation_errors_exit_two(capsys, argv):
     code, _, err = run_cli(capsys, *argv)
     assert code == 2
     assert err
+    if "--sigma-matrix" in argv:
+        assert "--sigma-matrix" in err
 
 
 @pytest.mark.parametrize(

@@ -1,0 +1,90 @@
+"""Mutation checks: each row breaks one line of the package in a copy of
+the source and expects the tests it names to fail there.  A check that no
+test depends on any longer shows up as a row whose tests pass.
+
+Each row is (module under ``src/crflag``, exact source snippet,
+replacement, node ids expected to fail).  The fast test keeps the table in
+step with the source: every snippet occurs exactly once, so a refactor
+that moves the code fails here and updates the row in the same change.
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+KERNEL_NAIVE = "tests/test_chevalley.py::test_levi_tensor_kernel_equals_naive_kernel_"
+MINIMALITY_NAIVE = "tests/test_chevalley.py::test_oracle_minimality_equals_naive_loop_"
+REDUCE_LINEAR = "tests/test_properties.py::test_subspace_reduce_is_linear_in_each_coordinate"
+
+MUTANTS = [
+    # the product drops u's coefficient from every term
+    pytest.param(
+        "chevalley.py", "f = x * y * z", "f = y * z",
+        [KERNEL_NAIVE + "off_root_spaces"],
+        id="bracket-residues-drop-coefficient",
+    ),
+    # the residue table skips the reduction modulo the span
+    pytest.param(
+        "chevalley.py", "span.reduce({c: 1})", "{c: span.scale}",
+        [KERNEL_NAIVE + "on_root_spaces", MINIMALITY_NAIVE + "on_root_spaces"],
+        id="bracket-residues-unreduced",
+    ),
+    # minimality never indexes a row, so nothing is bracketed
+    pytest.param(
+        "chevalley.py", "rows_at.setdefault(k, []).append((count, y))", "pass",
+        [MINIMALITY_NAIVE + "on_root_spaces"],
+        id="minimality-never-indexes",
+    ),
+    # minimality stops after one round
+    pytest.param(
+        "chevalley.py", "new = added.row_vecs()", "new = []",
+        [MINIMALITY_NAIVE + "on_root_spaces"],
+        id="minimality-one-round",
+    ),
+    # reduce divides before it scales, so it is no longer linear
+    pytest.param(
+        "chevalley.py", "f = self.scale * x // row[p]", "f = x // row[p] * self.scale",
+        [REDUCE_LINEAR, KERNEL_NAIVE + "off_root_spaces"],
+        id="reduce-not-linear",
+    ),
+]
+
+
+def _source(module: str) -> str:
+    return (ROOT / "src" / "crflag" / module).read_text()
+
+
+@pytest.mark.parametrize("module, snippet, replacement, node_ids", MUTANTS)
+def test_mutant_snippet_occurs_once(module, snippet, replacement, node_ids):
+    source = _source(module)
+    assert source.count(snippet) == 1, (module, snippet)
+    # the mutant compiles, so a failing run is a failing test
+    compile(source.replace(snippet, replacement), module, "exec")
+    for node_id in node_ids:
+        path, name = node_id.split("::")
+        assert f"def {name}(" in (ROOT / path).read_text(), node_id
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("module, snippet, replacement, node_ids", MUTANTS)
+def test_mutant_is_killed(tmp_path, module, snippet, replacement, node_ids):
+    # pyproject.toml's pythonpath puts the copy's src first, not the checkout's
+    for name in ("src", "tests"):
+        shutil.copytree(ROOT / name, tmp_path / name,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+    shutil.copy2(ROOT / "pyproject.toml", tmp_path)
+    path = tmp_path / "src" / "crflag" / module
+    path.write_text(path.read_text().replace(snippet, replacement))
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *node_ids],
+        cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(tmp_path / "src")},
+        capture_output=True, text=True, timeout=120,
+    )
+    # 1: the tests ran and one failed; 2-5 would be an error of the run itself
+    assert proc.returncode == 1, proc.stdout[-3000:] + proc.stderr[-3000:]

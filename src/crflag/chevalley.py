@@ -20,6 +20,9 @@ is plain equality of the pivot -> row maps and every computation is exact.
 The back-reduction clears from each row only the larger pivot columns it
 holds: the rows of larger pivots are fully reduced before it, so no
 elimination brings in another pivot column.
+The span of the Cartan and a set of root vectors is built directly in this
+form, its rows the unit vectors, so the cross-check compares each oracle
+level with the fast path's level as one equality of subspaces.
 
 This module re-derives the kernel filtration and minimality by honest
 bracket arithmetic.  Each level of the filtration is the left kernel of
@@ -157,7 +160,8 @@ class ChevalleyAlgebra:
     [x_alpha, x_{-alpha}] as the coroot of alpha in coroot coordinates, and
     [x_alpha, x_beta] = N(alpha,beta) x_(alpha+beta) whenever alpha+beta is
     a root.  It is complete when the algebra is built; nothing fills in
-    later.  Basis coordinate rank + i is the root ``rs.roots[i]``.
+    later.  Basis coordinate rank + i is the root ``rs.roots[i]``;
+    ``root_index`` is the one map between roots and basis coordinates.
     """
 
     rs: RootSystem
@@ -328,6 +332,16 @@ class Subspace:
         self.rows = {p: by_pivot[p] for p in pivots}
         self.scale = lcm(*(row[p] for p, row in self.rows.items()))
 
+    @classmethod
+    def coordinate_span(cls, ambient_dim: int, coords) -> "Subspace":
+        """Span of the unit vectors at ``coords``.  Each is already its own
+        canonical row, so the rows are set directly, with no elimination."""
+        sub = cls.__new__(cls)
+        sub.ambient_dim = ambient_dim
+        sub.rows = {c: {c: 1} for c in sorted(set(coords))}
+        sub.scale = 1
+        return sub
+
     @property
     def dim(self) -> int:
         return len(self.rows)
@@ -381,28 +395,12 @@ class Subspace:
 
 
 def subspace_from_rootset(ca: ChevalleyAlgebra, root_set) -> Subspace:
-    """Span of the full Cartan and the named root vectors."""
-    vecs: list[Vec] = [{i: 1} for i in range(ca.rs.rank)]
-    for beta in root_set:
-        vecs.append({ca.root_index[beta]: 1})
-    return Subspace(ca.dim, vecs)
-
-
-def subspace_root_content(ca: ChevalleyAlgebra, sub: Subspace) -> tuple[frozenset[Root], int]:
-    """Decompose an ad(Cartan)-stable subspace into its root set and its
-    Cartan dimension; every echelon row must be supported either on a
-    single root coordinate or inside the Cartan block."""
-    n = ca.rs.rank
-    roots = []
-    cartan = 0
-    for p, row in sub.rows.items():
-        if max(row) < n:
-            cartan += 1
-        elif len(row) != 1:
-            raise InvariantViolation("row mixes root spaces; subspace is not a root-space sum")
-        else:
-            roots.append(ca.rs.roots[p - n])
-    return frozenset(roots), cartan
+    """Span of the full Cartan and the named root vectors, built directly
+    in canonical form."""
+    index = ca.root_index
+    return Subspace.coordinate_span(
+        ca.dim, chain(range(ca.rs.rank), (index[beta] for beta in root_set))
+    )
 
 
 def _bracket_residues(ca: ChevalleyAlgebra, u: Vec, rows_at: dict[int, list[tuple[int, int]]],
@@ -484,8 +482,6 @@ def oracle_filtration(ca: ChevalleyAlgebra, q_sub: Subspace, sigma_q: Subspace) 
         if not (nxt.dim < levels[-1].dim and nxt <= levels[-1]):
             raise InvariantViolation("oracle levels must strictly decrease until stationary")
         levels.append(nxt)
-        if len(levels) > q_sub.dim + 1:
-            raise InvariantViolation("oracle filtration exceeded its theoretical length")
     return levels
 
 
@@ -523,10 +519,12 @@ def oracle_minimality(ca: ChevalleyAlgebra, q_plus: Subspace) -> bool:
 
 def cross_check(rs: RootSystem, q_roots, sigma_q, fast_levels, fast_minimal: bool) -> None:
     """Re-derive one case by bracket arithmetic and compare it with the
-    fast root-set answers: chain length, each level's root content and
-    Cartan dimension, and minimality of q + sigma(q).  Each Levi-tensor
-    kernel is solved once, as a step of ``oracle_filtration``.  Reads root
-    sets only; raises InvariantViolation naming the first disagreement."""
+    fast root-set answers: chain length, each level as a subspace against
+    the span of the Cartan and the roots of the fast level, and minimality
+    of q + sigma(q).  Spans are canonical, so each level is one equality.
+    Each Levi-tensor kernel is solved once, as a step of
+    ``oracle_filtration``.  Reads root sets only; raises InvariantViolation
+    naming the first disagreement."""
     ca = build_chevalley(rs)
     sq_sub = subspace_from_rootset(ca, sigma_q)
     levels = oracle_filtration(ca, subspace_from_rootset(ca, q_roots), sq_sub)
@@ -535,13 +533,10 @@ def cross_check(rs: RootSystem, q_roots, sigma_q, fast_levels, fast_minimal: boo
             f"oracle chain has {len(levels)} levels, fast path {len(fast_levels)}"
         )
     for k, (sub, fast) in enumerate(zip(levels, fast_levels)):
-        roots, cartan = subspace_root_content(ca, sub)
-        if cartan != rs.rank:
-            raise InvariantViolation(f"oracle level {k} has Cartan dimension {cartan}, not {rs.rank}")
-        if roots != fast:
+        if sub != subspace_from_rootset(ca, fast):
             raise InvariantViolation(
-                f"oracle level {k} lacks {len(fast - roots)} and adds {len(roots - fast)} "
-                "roots against the fast path"
+                f"oracle level {k} (dimension {sub.dim}) is not the span of the Cartan "
+                f"and the {len(fast)} roots of fast level {k}"
             )
     minimal = oracle_minimality(ca, subspace_from_rootset(ca, q_roots | sigma_q))
     if minimal != fast_minimal:

@@ -24,7 +24,7 @@ from .involution import (
     strongly_orthogonal,
 )
 from .parabolic import ParabolicData, c_of_q, parabolic_from_subset
-from .roots import RootSystem, UnknownRootSystem, build_root_system, format_root
+from .roots import FAMILIES, RootSystem, UnknownRootSystem, build_root_system, format_root
 from .survey import SurveyRow, TheoremViolation, run_survey
 
 
@@ -289,7 +289,7 @@ def cmd_survey(args) -> int:
     if not families:
         raise UsageError("--families: at least one family is required")
     for fam in families:
-        if fam not in "ABCDEFG" or len(fam) != 1:
+        if fam not in FAMILIES:
             raise UsageError(f"--families: unknown family {fam!r}")
     if args.max_rank < 1:
         raise UsageError(f"--max-rank: must be at least 1, got {args.max_rank}")

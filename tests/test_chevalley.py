@@ -19,7 +19,6 @@ from crflag.chevalley import (
     oracle_filtration,
     oracle_minimality,
     subspace_from_rootset,
-    subspace_root_content,
 )
 from crflag.cralgebra import analyze, filtration, is_minimal
 from crflag.involution import (
@@ -328,6 +327,20 @@ def test_subspace_back_reduction_equals_quadratic_loop():
     assert reduced == {True, False}
 
 
+def test_coordinate_span_equals_eliminated_unit_vectors():
+    rng = random.Random(33)
+    cases = [(5, []), (6, [4, 1, 4])]
+    for _ in range(40):
+        dim = rng.randint(1, 12)
+        cases.append((dim, rng.sample(range(dim), rng.randint(0, dim))))
+    for dim, coords in cases:
+        direct = Subspace.coordinate_span(dim, coords)
+        eliminated = Subspace(dim, [{c: 1} for c in coords])
+        assert direct == eliminated, coords
+        assert list(direct.rows) == list(eliminated.rows) == sorted(set(coords))
+        assert direct.scale == eliminated.scale == 1
+
+
 def _rank(rows: list[dict[int, int]]) -> int:
     """Rank over Q by Fraction Gaussian elimination."""
     pivots: dict[int, dict[int, Fraction]] = {}
@@ -387,7 +400,7 @@ def test_oracle_filtration_golden_dims(b3_case):
 
 
 def test_oracle_equals_fast_path_levels(b3_case):
-    rs, ca, q, cr = b3_case
+    _, ca, q, cr = b3_case
     q_sub = subspace_from_rootset(ca, q.root_set)
     sq_sub = subspace_from_rootset(ca, cr.sigma_q)
     levels = oracle_filtration(ca, q_sub, sq_sub)
@@ -395,8 +408,6 @@ def test_oracle_equals_fast_path_levels(b3_case):
     assert len(levels) == len(fast)
     for sub, roots in zip(levels, fast):
         assert subspace_from_rootset(ca, roots) == sub
-        content, cartan = subspace_root_content(ca, sub)
-        assert content == roots and cartan == rs.rank
 
 
 def test_oracle_stops_immediately_when_sigma_q_is_q(b3_case):
@@ -447,6 +458,55 @@ def test_cross_check_solves_each_level_once(b3_case, monkeypatch):
     calls.clear()
     cross_check(rs, q.root_set, cr.sigma_q, filtration(cr), is_minimal(cr))
     assert len(calls) == alone == 4
+
+
+def test_cross_check_names_the_first_level_that_differs(b3_case):
+    rs, _, q, cr = b3_case
+    fast = list(filtration(cr))
+    # drop from q(1) a root that q(2) does not hold: the chain keeps its length
+    fast[1] = fast[1] - {min(fast[1] - fast[2])}
+    with pytest.raises(InvariantViolation, match=r"oracle level 1 \(dimension 11\)"):
+        cross_check(rs, q.root_set, cr.sigma_q, fast, is_minimal(cr))
+
+
+def test_cross_check_rejects_a_short_chain(b3_case):
+    rs, _, q, cr = b3_case
+    fast = filtration(cr)
+    with pytest.raises(InvariantViolation, match="oracle chain has 4 levels, fast path 3"):
+        cross_check(rs, q.root_set, cr.sigma_q, fast[:1] + fast[2:], is_minimal(cr))
+
+
+def test_cross_check_rejects_the_wrong_minimality(b3_case):
+    rs, _, q, cr = b3_case
+    with pytest.raises(InvariantViolation, match="oracle minimality True, fast path False"):
+        cross_check(rs, q.root_set, cr.sigma_q, filtration(cr), not is_minimal(cr))
+
+
+def test_bracket_residues_equal_one_bracket_per_row_off_root_spaces():
+    rng = random.Random(7)
+    compared = 0
+    for family, rank in (("B", 3), ("G", 2)):
+        ca = build_chevalley(build_root_system(family, rank))
+
+        def random_row():
+            coords = rng.sample(range(ca.dim), rng.randint(1, 3))
+            return {c: rng.choice((-3, -2, 2, 3, 5)) for c in coords}
+
+        rows = [random_row() for _ in range(5)]
+        rows_at: dict = {}
+        for j, v in enumerate(rows):
+            for k, y in v.items():
+                rows_at.setdefault(k, []).append((j, y))
+        for span in (Subspace(ca.dim), Subspace(ca.dim, [random_row() for _ in range(4)])):
+            residue: dict = {}
+            for _ in range(2):
+                u = random_row()
+                got = chevalley._bracket_residues(ca, u, rows_at, residue, span)
+                for j, v in enumerate(rows):
+                    res = {d: x for d, x in got.get(j, {}).items() if x}
+                    assert res == span.reduce(ca.bracket(u, v)), (family, u, v)
+                    compared += 1
+    assert compared == 40
 
 
 def _naive_kernel(ca: ChevalleyAlgebra, level: Subspace, sigma_q: Subspace) -> Subspace:
@@ -527,16 +587,6 @@ def test_oracle_minimality(b3_case):
     assert oracle_minimality(ca, q_plus) == is_minimal(cr) is True
     assert not oracle_minimality(ca, subspace_from_rootset(ca, q.root_set))
     assert oracle_minimality(ca, subspace_from_rootset(ca, frozenset(ca.rs.roots)))
-
-
-def test_levels_are_root_space_sums(b3_case):
-    _, ca, q, cr = b3_case
-    q_sub = subspace_from_rootset(ca, q.root_set)
-    sq_sub = subspace_from_rootset(ca, cr.sigma_q)
-    for sub in oracle_filtration(ca, q_sub, sq_sub):
-        roots, cartan = subspace_root_content(ca, sub)
-        assert cartan == 3
-        assert len(roots) + cartan == sub.dim
 
 
 def _naive_minimality(ca: ChevalleyAlgebra, q_plus: Subspace) -> bool:

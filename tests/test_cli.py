@@ -388,8 +388,10 @@ def test_survey_empty_families_exits_two(capsys):
 
 
 def test_survey_unknown_family_exits_two(capsys):
-    code, _, err = run_cli(capsys, "survey", "--families", "A,Z", "--max-rank", "3")
-    assert code == 2 and "--families" in err
+    # a family is one upper-case letter of roots.FAMILIES
+    for families, bad in (("A,Z", "Z"), ("AB", "AB"), ("a", "a")):
+        code, _, err = run_cli(capsys, "survey", "--families", families, "--max-rank", "3")
+        assert code == 2 and f"--families: unknown family {bad!r}" in err, families
 
 
 @pytest.mark.parametrize(
@@ -481,7 +483,7 @@ real = cralgebra.filtration
 
 def truncated(cr):
     # drop q(1): the chain still ends at q^inf, so evaluate accepts it and
-    # only the oracle's level-by-level comparison can catch it
+    # only the oracle can catch it, by the chain's length
     levels = real(cr)
     return levels[:1] + levels[2:] if len(levels) >= 3 else levels
 

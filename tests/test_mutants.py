@@ -21,12 +21,14 @@ ROOT = Path(__file__).resolve().parents[1]
 KERNEL_NAIVE = "tests/test_chevalley.py::test_levi_tensor_kernel_equals_naive_kernel_"
 MINIMALITY_NAIVE = "tests/test_chevalley.py::test_oracle_minimality_equals_naive_loop_"
 REDUCE_LINEAR = "tests/test_properties.py::test_subspace_reduce_is_linear_in_each_coordinate"
+SUM_TABLE = "tests/test_roots.py::test_root_sum_table_"
 
 MUTANTS = [
     # the product drops u's coefficient from every term
     pytest.param(
         "chevalley.py", "f = x * y * z", "f = y * z",
-        [KERNEL_NAIVE + "off_root_spaces"],
+        [KERNEL_NAIVE + "off_root_spaces",
+         "tests/test_chevalley.py::test_bracket_residues_equal_one_bracket_per_row_off_root_spaces"],
         id="bracket-residues-drop-coefficient",
     ),
     # the residue table skips the reduction modulo the span
@@ -53,6 +55,37 @@ MUTANTS = [
         [REDUCE_LINEAR, KERNEL_NAIVE + "off_root_spaces"],
         id="reduce-not-linear",
     ),
+    # the cross-check never compares a level with the fast path's
+    pytest.param(
+        "chevalley.py", "if sub != subspace_from_rootset(ca, fast):", "if False:",
+        ["tests/test_chevalley.py::test_cross_check_names_the_first_level_that_differs"],
+        id="cross-check-skips-levels",
+    ),
+    # the N-table accepts an ordered pair met in a second triple
+    pytest.param(
+        "chevalley.py", "if (x, y) in table:", "if False:",
+        ["tests/test_chevalley.py::test_n_table_rejects_a_pair_in_two_triples"],
+        id="n-table-pair-in-two-triples",
+    ),
+    # the sum table's strict height cut drops the sums of two roots of equal height
+    pytest.param(
+        "roots.py", "2 * heights[half] <= heights[k]", "2 * heights[half] < heights[k]",
+        [SUM_TABLE + "lists_exactly_the_root_sums[B-3]",
+         "tests/test_roots.py::test_root_sum_rows_have_2h_minus_4_entries_when_simply_laced[D-4]"],
+        id="sum-table-strict-height-cut",
+    ),
+    # -x's row keeps x's id order instead of swapping its halves
+    pytest.param(
+        "roots.py", "ids[m:] + ids[:m]", "ids",
+        [SUM_TABLE + "lists_exactly_the_root_sums[A-2]", SUM_TABLE + "lists_exactly_the_root_sums[G-2]"],
+        id="sum-table-negative-rows-unswapped",
+    ),
+    # -x's row holds x's partners un-negated
+    pytest.param(
+        "roots.py", "negated[p]: negated[row[p]]", "negated[p]: roots[row[p]]",
+        [SUM_TABLE + "is_symmetric_under_negation[B-3]", SUM_TABLE + "lists_exactly_the_root_sums[G-2]"],
+        id="sum-table-negative-rows-unnegated",
+    ),
 ]
 
 
@@ -68,7 +101,7 @@ def test_mutant_snippet_occurs_once(module, snippet, replacement, node_ids):
     compile(source.replace(snippet, replacement), module, "exec")
     for node_id in node_ids:
         path, name = node_id.split("::")
-        assert f"def {name}(" in (ROOT / path).read_text(), node_id
+        assert f"def {name.split('[')[0]}(" in (ROOT / path).read_text(), node_id
 
 
 @pytest.mark.slow

@@ -21,7 +21,7 @@ level, so neither is stored beside it), and minimality.  The CLI and the
 survey read every answer from these two and derive none.
 
 sigma reaches this module already validated: ``involution._involution``
-checks that it is a linear involution of Phi.  So every fact that follows
+builds it as a linear involution of Phi.  So every fact that follows
 from sigma permuting the roots (sigma-stability of q^inf, of q + sigma(q)
 and of its complement, and the size identities) is not checked again
 per case; the tests check them once over whole families of cases.  Apart
@@ -74,8 +74,8 @@ def analyze(rs: RootSystem, q: ParabolicData, sigma: InvolutionData) -> CRAlgebr
     """Assemble the root sets of a case, one sigma image per root of q,
     and read its dimensions and orbit type off their sizes.
 
-    The involution constructor has already checked that sigma is a
-    linear involution of Phi, so these hold without a check here:
+    The involution constructor has already built sigma as a linear
+    involution of Phi, so these hold without a check here:
     sigma(q^inf) = q^inf and sigma(q + sigma(q)) = q + sigma(q), since
     sigma(q & sigma(q)) = sigma(q) & q; |q + sigma(q)| = 2|q| - |q^inf|,
     since |sigma(q)| = |q|, which is also dim M = 2 CR-dim + CR-codim; a

@@ -1,24 +1,24 @@
 """Lattice involutions of a root system and partial Cayley transforms.
 
-An involution sigma is stored as its images of all roots, computed once
-when it is built; the fast path only ever uses sigma as a map from roots
-to roots.  The one constructor validates it, so no caller checks sigma
-again: it maps roots to roots, it squares to the identity, it preserves
-the invariant form on the simple roots, and it is linear, i.e. the image
-table equals the integer matrix (columns sigma(alpha_j)) on every root.
-sigma is then a lattice automorphism that permutes the roots; the matrix
-is kept for printing and deduplication.  Starting from the identity (the
-split situation), new involutions are produced by Cayley steps: a step
-at a root gamma fixed by the current involution composes with the
-reflection in gamma, sigma' = s_gamma o sigma.  Chains require each new
-root to be strongly orthogonal to all earlier ones; two such steps
-commute.
+An involution sigma is built from sigma(alpha_1), ..., sigma(alpha_n),
+the columns of its matrix: the one constructor writes each root's image
+as the integer sum sum_j beta_j sigma(alpha_j), so sigma is linear by
+construction, and the fast path only ever uses that table of images.
+The constructor checks, so no caller checks again, that sigma squares to
+the identity on the simple roots, maps roots to roots and preserves the
+invariant form on the simple roots; it is then a lattice automorphism
+that permutes the roots.  The matrix is kept for printing and
+deduplication.  Starting from the identity (the split situation), new
+involutions are produced by Cayley steps: a step at a root gamma fixed
+by the current involution composes with the reflection in gamma,
+sigma' = s_gamma o sigma, and moves only the n columns.  Chains require
+each new root to be strongly orthogonal to all earlier ones; two such
+steps commute.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import mul
 
 from .roots import InvariantViolation, Root, RootSystem
 
@@ -53,48 +53,52 @@ class InvolutionData:
         return self.images[root] == root
 
 
-def _involution(rs: RootSystem, images: dict[Root, Root], provenance) -> InvolutionData:
-    """The one constructor, and the only place sigma is validated.  Four
-    checks, in this order: ``images`` maps roots to roots, squares to the
-    identity, keeps the inner products of the simple roots, and is linear
-    (sigma(beta) = sum_i beta_i sigma(alpha_i) for every root beta).  Then
-    read off the matrix.
+def _involution(rs: RootSystem, cols: list[Root], provenance) -> InvolutionData:
+    """The one constructor, and the only place sigma is validated.
+    ``cols`` are the images sigma(alpha_1), ..., sigma(alpha_n); every root
+    beta gets the image sum_j beta_j sigma(alpha_j), so sigma is linear.
+    Three checks, in this order: sigma(sigma(alpha_j)) = alpha_j for every
+    j, every image is a root, and the columns keep the inner products of
+    the simple roots.
 
-    The first two make sigma a bijection of Phi, so sigma(q) has |q|
-    roots, sigma(q & sigma(q)) = q & sigma(q), sigma(q | sigma(q)) =
+    By linearity the first makes sigma square to the identity on every
+    root, and with the second it is a bijection of Phi, so sigma(q) has
+    |q| roots, sigma(q & sigma(q)) = q & sigma(q), sigma(q | sigma(q)) =
     q | sigma(q), and Phi minus q | sigma(q) is sigma-stable; linearity
     adds that sigma maps closed root sets to closed root sets.
     ``cralgebra.analyze`` relies on all of this without checking it."""
+    n = rs.rank
+    # the non-zero entries of each column, so that a root's image costs
+    # one term per non-zero entry of a column it uses
+    terms = [[(i, c) for i, c in enumerate(col) if c] for col in cols]
+
+    def image(beta) -> Root:
+        acc = [0] * n
+        for b, nonzero in zip(beta, terms):
+            if b:
+                for i, c in nonzero:
+                    acc[i] += b * c
+        return tuple(acc)
+
+    if any(image(col) != rs.simple(j + 1) for j, col in enumerate(cols)):
+        raise InvolutionError("matrix is not involutive (M*M != id)")
     codes = rs.root_code
+    images = {}
     for beta in rs.roots:
-        image = images[beta]
-        if image not in codes:
+        images[beta] = image(beta)
+        if images[beta] not in codes:
             raise InvolutionError(f"the root set is not preserved (image of {beta} is not a root)")
-        if images[image] != beta:
-            raise InvolutionError(f"the map is not involutive (sigma(sigma({beta})) != {beta})")
     # kappa-preservation on the simple roots is kappa-preservation on the
     # lattice they span
-    cols = [images[rs.simple(j + 1)] for j in range(rs.rank)]
     for i, ci in enumerate(cols):
         for j, cj in enumerate(cols):
             if rs.inner(ci, cj) != rs.form[i][j]:
                 raise InvolutionError("the invariant form is not preserved")
-    # Linearity on root codes, one dot product per root.  The form check
-    # comes first: the matrix is then an isometry, so sum_i beta_i
-    # sigma(alpha_i) has the length of a root, and lattice vectors that
-    # short have coefficients of at most 6 in every simple type, where
-    # codes are injective; equal codes mean equal vectors.
-    col_codes = [codes[c] for c in cols]
-    for beta in rs.roots:
-        if codes[images[beta]] != sum(map(mul, beta, col_codes)):
-            raise InvolutionError(
-                f"the map is not linear (sigma({beta}) is not the matrix applied to {beta})"
-            )
     return InvolutionData(matrix=tuple(zip(*cols)), provenance=provenance, images=images)
 
 
 def identity_involution(rs: RootSystem) -> InvolutionData:
-    return _involution(rs, {beta: beta for beta in rs.roots}, "identity")
+    return _involution(rs, [rs.simple(j + 1) for j in range(rs.rank)], "identity")
 
 
 def involution_from_matrix(rs: RootSystem, matrix) -> InvolutionData:
@@ -105,15 +109,7 @@ def involution_from_matrix(rs: RootSystem, matrix) -> InvolutionData:
     n = rs.rank
     if len(matrix) != n or any(len(row) != n for row in matrix):
         raise InvolutionError(f"matrix must be {n}x{n}")
-    cols = [tuple(int(row[j]) for row in matrix) for j in range(n)]
-
-    def image(v) -> Root:
-        # sigma(v) = sum_j v_j sigma(alpha_j)
-        return tuple(sum(c * col[i] for c, col in zip(v, cols) if c) for i in range(n))
-
-    if any(image(cols[j]) != rs.simple(j + 1) for j in range(n)):
-        raise InvolutionError("matrix is not involutive (M*M != id)")
-    return _involution(rs, {beta: image(beta) for beta in rs.roots}, "explicit")
+    return _involution(rs, [tuple(int(row[j]) for row in matrix) for j in range(n)], "explicit")
 
 
 def cayley_update(rs: RootSystem, sigma: InvolutionData, gamma: Root) -> InvolutionData:
@@ -121,7 +117,8 @@ def cayley_update(rs: RootSystem, sigma: InvolutionData, gamma: Root) -> Involut
 
     The lattice identification makes the step the pure map
     beta -> sigma(beta) - <sigma(beta)|gamma> gamma, i.e.
-    sigma' = s_gamma o sigma.  sigma(gamma) = +-gamma is exactly the
+    sigma' = s_gamma o sigma; it is linear, so it is computed on the
+    columns sigma(alpha_j) alone.  sigma(gamma) = +-gamma is exactly the
     condition for sigma' to be an involution again (reflections in gamma
     and -gamma coincide, so a second step at the same root undoes the
     first).  The result is re-validated against all involution invariants.
@@ -135,19 +132,19 @@ def cayley_update(rs: RootSystem, sigma: InvolutionData, gamma: Root) -> Involut
     # <s|gamma> = 2 kappa(s, gamma) / kappa(gamma, gamma), with the
     # denominator computed once for the step
     gg = rs.inner(gamma, gamma)
-    images = {}
-    for beta, s in sigma.images.items():
+    cols = []
+    for s in zip(*sigma.matrix):
         c, rem = divmod(2 * rs.inner(s, gamma), gg)
         if rem:
             raise InvolutionError(f"the pairing <{s}|{gamma}> is not an integer")
-        images[beta] = tuple(b - c * g for b, g in zip(s, gamma)) if c else s
+        cols.append(tuple(b - c * g for b, g in zip(s, gamma)))
     if sigma.provenance == "identity":
         prov: str | tuple[Root, ...] = (gamma,)
     elif isinstance(sigma.provenance, tuple):
         prov = sigma.provenance + (gamma,)
     else:
         prov = "explicit"
-    return _involution(rs, images, prov)
+    return _involution(rs, cols, prov)
 
 
 def strongly_orthogonal(rs: RootSystem, gamma1: Root, gamma2: Root) -> bool:

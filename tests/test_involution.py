@@ -5,7 +5,6 @@ import pytest
 
 from crflag.involution import (
     InvolutionError,
-    _involution,
     cayley_update,
     enumerate_cayley_involutions,
     identity_involution,
@@ -61,14 +60,12 @@ def test_from_matrix_rejects_non_root_preserving():
 
 
 def test_constructor_rejects_form_breaking_permutation():
-    # swapping the long and the short simple root of B2 (and their
-    # negatives) is an involution of the root set, but not an isometry
-    rs = build_root_system("B", 2)
-    images = {beta: beta for beta in rs.roots}
-    for a, b in (((1, 0), (0, 1)), ((-1, 0), (0, -1))):
-        images[a], images[b] = b, a
+    # a form that no root system has: with alpha_2 half as long as
+    # alpha_1, the A2 diagram swap is still an involution of the root set,
+    # but not an isometry
+    rs = dataclasses.replace(build_root_system("A", 2), form=((6, -3), (-3, 3)))
     with pytest.raises(InvolutionError, match="invariant form"):
-        _involution(rs, images, "explicit")
+        involution_from_matrix(rs, ((0, 1), (1, 0)))
 
 
 def test_minus_identity_valid():
@@ -108,13 +105,50 @@ def test_cayley_preconditions():
 
 
 def test_cayley_equals_reflection_composition():
-    rs = build_root_system("B", 3)
-    sid = identity_involution(rs)
-    for gamma in rs.positive_roots:
-        updated = cayley_update(rs, sid, gamma)
-        for beta in rs.roots:
-            c = pairing(rs, beta, gamma)
-            assert updated.apply(beta) == tuple(b - c * g for b, g in zip(beta, gamma))
+    # every enumerated involution against a per-root reference: starting
+    # from the identity table, each chain root gamma maps every image s to
+    # s - <s|gamma> gamma
+    types = [
+        *[("A", r, 3) for r in range(1, 6)],
+        *[("B", r, 3) for r in range(2, 6)],
+        *[("C", r, 3) for r in range(3, 6)],
+        ("D", 4, 3), ("D", 5, 3), ("G", 2, 3), ("F", 4, 3), ("E", 6, 2),
+    ]
+    for family, rank, depth in types:
+        rs = build_root_system(family, rank)
+        reference = {(): {beta: beta for beta in rs.roots}}
+        for inv in enumerate_cayley_involutions(rs, depth):
+            chain = inv.provenance if isinstance(inv.provenance, tuple) else ()
+            for k in range(1, len(chain) + 1):
+                if chain[:k] not in reference:
+                    gamma = chain[k - 1]
+                    reference[chain[:k]] = {
+                        beta: tuple(x - pairing(rs, s, gamma) * g for x, g in zip(s, gamma))
+                        for beta, s in reference[chain[:k - 1]].items()
+                    }
+            assert inv.images == reference[chain], (family, rank, chain)
+
+
+@pytest.mark.parametrize("family,rank,bound,accepted", [
+    ("A", 2, 2, 8), ("B", 2, 2, 6), ("G", 2, 3, 8), ("A", 3, 1, 20),
+])
+def test_matrix_box_accepts_exactly_the_involutions(family, rank, bound, accepted):
+    # every integer matrix with entries in -bound..bound is either rejected
+    # or accepted; the accepted ones are all involutions of Aut(Phi) there,
+    # counted independently by a search over the Weyl group times the
+    # diagram automorphisms
+    rs = build_root_system(family, rank)
+    count = 0
+    for flat in itertools.product(range(-bound, bound + 1), repeat=rank * rank):
+        matrix = tuple(flat[i * rank:(i + 1) * rank] for i in range(rank))
+        try:
+            sigma = involution_from_matrix(rs, matrix)
+        except InvolutionError:
+            continue
+        assert sigma.matrix == matrix
+        assert all(sigma.apply(sigma.apply(beta)) == beta for beta in rs.roots)
+        count += 1
+    assert count == accepted
 
 
 def test_cayley_rejects_non_integral_pairing():
@@ -240,15 +274,3 @@ def test_chain_roots_pairwise_strongly_orthogonal():
         for i, g1 in enumerate(chain):
             for g2 in chain[i + 1:]:
                 assert strongly_orthogonal(rs, g1, g2)
-
-
-def test_constructor_rejects_non_linear_table():
-    # swapping alpha1+alpha2 with alpha2+alpha3 (and their negatives) in
-    # the A3 identity table is an involution of the root set that keeps
-    # the simple roots, so only the linearity check can reject it
-    rs = build_root_system("A", 3)
-    images = {beta: beta for beta in rs.roots}
-    for a, b in (((1, 1, 0), (0, 1, 1)), ((-1, -1, 0), (0, -1, -1))):
-        images[a], images[b] = b, a
-    with pytest.raises(InvolutionError, match=r"not linear \(sigma\(\(0, 1, 1\)\)"):
-        _involution(rs, images, "explicit")

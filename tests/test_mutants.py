@@ -22,6 +22,7 @@ KERNEL_NAIVE = "tests/test_chevalley.py::test_levi_tensor_kernel_equals_naive_ke
 MINIMALITY_NAIVE = "tests/test_chevalley.py::test_oracle_minimality_equals_naive_loop_"
 REDUCE_LINEAR = "tests/test_properties.py::test_subspace_reduce_is_linear_in_each_coordinate"
 SUM_TABLE = "tests/test_roots.py::test_root_sum_table_"
+THEOREM_CHECK = "tests/test_survey.py::test_each_theorem_check_fires"
 
 MUTANTS = [
     # the product drops u's coefficient from every term
@@ -66,6 +67,46 @@ MUTANTS = [
         "chevalley.py", "if (x, y) in table:", "if False:",
         ["tests/test_chevalley.py::test_n_table_rejects_a_pair_in_two_triples"],
         id="n-table-pair-in-two-triples",
+    ),
+    # the involution constructor accepts a matrix whose square is not 1
+    pytest.param(
+        "involution.py",
+        "if any(image(col) != rs.simple(j + 1) for j, col in enumerate(cols)):", "if False:",
+        ["tests/test_involution.py::test_from_matrix_rejects_non_involutive"],
+        id="involution-skips-square",
+    ),
+    # ... an image that is not a root
+    pytest.param(
+        "involution.py", "if images[beta] not in codes:", "if False:",
+        ["tests/test_involution.py::test_from_matrix_rejects_non_root_preserving"],
+        id="involution-skips-root-set",
+    ),
+    # ... columns that break the invariant form
+    pytest.param(
+        "involution.py", "if rs.inner(ci, cj) != rs.form[i][j]:", "if False:",
+        ["tests/test_involution.py::test_constructor_rejects_form_breaking_permutation"],
+        id="involution-skips-form",
+    ),
+    # each theorem check of the survey never fires
+    pytest.param(
+        "survey.py", "if cr.cr_codim == 1 and finite and not q.is_maximal:", "if False:",
+        [THEOREM_CHECK + "[non-maximal-finite]"],
+        id="theorem-non-maximal-finite",
+    ),
+    pytest.param(
+        "survey.py", "if not finite:", "if False:",
+        [THEOREM_CHECK + "[maximal-degenerate]"],
+        id="theorem-maximal-degenerate",
+    ),
+    pytest.param(
+        "survey.py", "if not minimal:", "if False:",
+        [THEOREM_CHECK + "[maximal-not-minimal]"],
+        id="theorem-maximal-not-minimal",
+    ),
+    pytest.param(
+        "survey.py", "if finite and q.is_maximal and order > cq + 1:", "if False:",
+        [THEOREM_CHECK + "[bound]"],
+        id="theorem-bound",
     ),
     # the sum table's strict height cut drops the sums of two roots of equal height
     pytest.param(

@@ -211,6 +211,22 @@ def _jacobi_defect(ca: ChevalleyAlgebra, i: int, j: int, k: int) -> Vec:
     return {d: x for d, x in out.items() if x}
 
 
+def _distinct_triples(rng: random.Random, dim: int, count: int):
+    """``count`` triples of distinct coordinates below ``dim``, each drawn
+    by rejecting repeats.  Above dim 21 this is how ``rng.sample(range(dim),
+    3)`` draws, so the triples are the same, without its set-up per call."""
+    draw = rng.randrange
+    for _ in range(count):
+        i = draw(dim)
+        j = draw(dim)
+        while j == i:
+            j = draw(dim)
+        k = draw(dim)
+        while k == i or k == j:
+            k = draw(dim)
+        yield i, j, k
+
+
 def jacobi_check(ca: ChevalleyAlgebra, sample: int | None = None) -> int:
     """Verify the Jacobi identity on basis triples; returns the number of
     triples checked.  ``sample=None`` checks every i<j<k triple."""
@@ -218,8 +234,7 @@ def jacobi_check(ca: ChevalleyAlgebra, sample: int | None = None) -> int:
     if sample is None:
         triples = combinations(range(dim), 3)
     else:
-        rng = random.Random(20240 + dim)
-        triples = (tuple(rng.sample(range(dim), 3)) for _ in range(sample))
+        triples = _distinct_triples(random.Random(20240 + dim), dim, sample)
     count = 0
     for t in triples:
         if _jacobi_defect(ca, *t):

@@ -3,6 +3,10 @@
 Exit codes: 0 success, 1 theorem violation or self-test mismatch,
 2 usage/validation error, 3 internal invariant violation (an oracle
 mismatch included, also under ``python -O``), 141 stdout closed early.
+
+A command imports only the layers it runs: the Chevalley oracle when an
+oracle runs (``analyze --oracle``, a survey with a positive oracle rank),
+and the survey inside ``survey``.
 """
 
 from __future__ import annotations
@@ -12,8 +16,8 @@ import json
 import os
 import sys
 from dataclasses import asdict
+from typing import TYPE_CHECKING
 
-from .chevalley import MAX_RANK, cross_check
 from .cralgebra import DEGENERATE, ORBIT_CR, analyze, evaluate
 from .involution import (
     InvolutionData,
@@ -25,7 +29,9 @@ from .involution import (
 )
 from .parabolic import ParabolicData, c_of_q, parabolic_from_subset
 from .roots import FAMILIES, RootSystem, UnknownRootSystem, build_root_system, format_root
-from .survey import SurveyRow, TheoremViolation, run_survey
+
+if TYPE_CHECKING:
+    from .survey import SurveyRow
 
 
 class UsageError(ValueError):
@@ -68,6 +74,8 @@ def _parse_matrix(text: str, rank: int, flag: str):
 
 
 def _check_oracle_rank(rank: int, flag: str) -> None:
+    from .chevalley import MAX_RANK
+
     if rank > MAX_RANK:
         raise UsageError(f"{flag}: the Chevalley oracle is bounded at rank {MAX_RANK}, got {rank}")
 
@@ -90,6 +98,8 @@ def build_report(rs: RootSystem, q: ParabolicData, sigma: InvolutionData,
     cr = analyze(rs, q, sigma)
     result = evaluate(cr)
     if run_oracle:
+        from .chevalley import cross_check
+
         cross_check(rs, q.root_set, cr.sigma_q, result.levels, result.minimal)
     sigma_report = {"provenance": sigma.provenance,
                     "matrix": [list(row) for row in sigma.matrix]}
@@ -297,7 +307,11 @@ def cmd_survey(args) -> int:
         raise UsageError(f"--max-cayley-chain: must be at least 0, got {args.max_cayley_chain}")
     if args.oracle_max_rank < 0:
         raise UsageError(f"--oracle-max-rank: must be at least 0, got {args.oracle_max_rank}")
-    _check_oracle_rank(min(args.max_rank, args.oracle_max_rank), "--oracle-max-rank")
+    oracle_rank = min(args.max_rank, args.oracle_max_rank)
+    if oracle_rank > 0:
+        _check_oracle_rank(oracle_rank, "--oracle-max-rank")
+    from .survey import TheoremViolation, run_survey
+
     try:
         rows = run_survey(
             families,

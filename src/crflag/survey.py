@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .chevalley import cross_check
 from .cralgebra import ORBIT_CR, analyze, evaluate
 from .involution import InvolutionData, enumerate_cayley_involutions
 from .parabolic import c_of_q, parabolic_from_subset
@@ -126,6 +125,8 @@ def _survey_case(rs, q, cq, sigma, hypersurface_only, oracle_max_rank, seen):
     oracle_checked = rs.rank <= oracle_max_rank
     key = (rs.family, rs.rank, q.root_set, cr.sigma_q)
     if oracle_checked and key not in seen:
+        from .chevalley import cross_check  # the oracle loads with its first case
+
         cross_check(rs, q.root_set, cr.sigma_q, result.levels, minimal)
         seen.add(key)
 

@@ -233,6 +233,15 @@ def test_jacobi_sampled_rank_five(monkeypatch):
     assert seen == [tuple(rng.sample(range(ca.dim), 3)) for _ in range(500)]
 
 
+@pytest.mark.parametrize("dim", [35, 55, 78, 133, 248])
+def test_jacobi_draws_equal_random_sample(dim):
+    # the sampled check draws the triples random.sample would, more cheaply
+    for seed in (0, 1, 20240 + dim):
+        rng = random.Random(seed)
+        expected = [tuple(rng.sample(range(dim), 3)) for _ in range(2000)]
+        assert list(chevalley._distinct_triples(random.Random(seed), dim, 2000)) == expected
+
+
 def test_jacobi_check_catches_one_wrong_sign():
     rs = build_root_system("B", 3)
     ca = build_chevalley(rs)

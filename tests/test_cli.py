@@ -406,7 +406,7 @@ def test_survey_unknown_family_exits_two(capsys):
 )
 def test_survey_edge_values_exit_two(capsys, monkeypatch, argv, flag):
     # rejected before any case is swept
-    monkeypatch.setattr(cli, "run_survey", None)
+    monkeypatch.setattr("crflag.survey.run_survey", None)
     code, out, err = run_cli(capsys, "survey", "--families", "A", *argv)
     assert code == 2 and out == ""
     assert err.startswith(f"error: {flag}:")
@@ -448,7 +448,7 @@ def test_survey_theorem_violation_exits_one(capsys, monkeypatch):
 
         raise TheoremViolation("forced", "B", 3, (1, 3), "010|111")
 
-    monkeypatch.setattr(cli, "run_survey", boom)
+    monkeypatch.setattr("crflag.survey.run_survey", boom)
     code, _, err = run_cli(capsys, "survey", "--families", "B", "--max-rank", "3")
     assert code == 1
     assert "reproducer" in err
@@ -578,7 +578,8 @@ print([f.cache_info().currsize for f in (build_root_system, root_sum_table, buil
 
 
 def test_import_precomputes_nothing():
-    # the benchmark's setup_s is the import; tables are built on first use
+    # importing a layer builds none of its tables: each is built on first
+    # use, so a command pays only for the tables its case reads
     proc = _python("-c", _IMPORT_DOES_NO_WORK, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
     out, err = proc.communicate(timeout=60)
     assert proc.returncode == 0, err
@@ -599,3 +600,44 @@ def test_import_loads_no_fractions_or_decimal():
     out, err = proc.communicate(timeout=60)
     assert proc.returncode == 0, err
     assert out.split() == [b"[]"]
+
+
+_IMPORT_LOADS_NO_LAYER = """
+import sys
+import crflag
+print(sorted(m for m in sys.modules if m.startswith("crflag.")))
+"""
+
+
+def test_import_loads_no_layer():
+    # the benchmark's setup_s is this import; every name loads on first use
+    proc = _python("-c", _IMPORT_LOADS_NO_LAYER, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    out, err = proc.communicate(timeout=60)
+    assert proc.returncode == 0, err
+    assert out.split() == [b"[]"]
+
+
+_LAYERS_LOADED_BY_COMMAND = """
+import json
+import sys
+from crflag.cli import main
+code = main(sys.argv[1:])
+print(json.dumps([m for m in sys.modules if m.startswith("crflag.")]), file=sys.stderr)
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("argv, loaded, not_loaded", [
+    (("analyze", "--family", "A", "--rank", "3", "--parabolic", "1", "--split"),
+     {"crflag.cralgebra"}, {"crflag.chevalley", "crflag.survey"}),
+    (("survey", "--families", "A", "--max-rank", "2", "--oracle-max-rank", "0"),
+     {"crflag.survey"}, {"crflag.chevalley"}),
+    (GOLDEN_ARGS + ("--oracle",), {"crflag.chevalley"}, {"crflag.survey"}),
+], ids=["analyze-split", "survey-without-oracle", "analyze-oracle"])
+def test_command_loads_only_the_layers_it_runs(argv, loaded, not_loaded):
+    proc = _python("-c", _LAYERS_LOADED_BY_COMMAND, *argv,
+                   stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 0, err
+    modules = set(json.loads(err.decode().splitlines()[-1]))
+    assert loaded <= modules and not modules & not_loaded, modules

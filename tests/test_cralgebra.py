@@ -29,7 +29,7 @@ from crflag.involution import (
     involution_from_matrix,
 )
 from crflag.parabolic import check_root_set_closed, parabolic_from_subset
-from crflag.roots import InvariantViolation, build_root_system, parse_root
+from crflag.roots import InvariantViolation, build_root_system, parse_root, root_sum_table
 from crflag.survey import run_survey
 
 
@@ -341,3 +341,75 @@ def test_evaluate_rejects_an_order_above_the_cr_dimension(golden, monkeypatch):
     monkeypatch.setattr(cralgebra, "filtration", too_long)
     with pytest.raises(InvariantViolation, match="1..cr_dim"):
         evaluate(cr)
+
+
+# Each invariant check of cralgebra fires on an input that breaks it.  A
+# validated sigma never does, so the inputs are built past the validation.
+
+
+def _sum_in(rs, inside, target):
+    """A root of ``target`` that is the sum of two roots of ``inside``."""
+    sums = root_sum_table(rs)
+    return next(s for x in inside for y, s in sums[x].items() if y in inside and s in target)
+
+
+def test_analyze_rejects_a_q_infty_that_is_not_closed(golden):
+    # a permutation of the roots that is not linear: it swaps a sum a of
+    # two roots of q with -a, so q^inf is q without a
+    rs, q, sigma, _ = golden
+    def minus(r):
+        return tuple(-c for c in r)
+
+    a = _sum_in(rs, q.root_set, {r for r in q.root_set if minus(r) not in q.root_set})
+    minus_a = minus(a)
+    images = {r: r for r in rs.roots}
+    images[a], images[minus_a] = minus_a, a
+    with pytest.raises(InvariantViolation, match="q\\^inf must be closed"):
+        analyze(rs, q, InvolutionData(sigma.matrix, "explicit", images))
+
+
+def test_filter_levels_rejects_a_step_that_does_not_descend(golden, monkeypatch):
+    rs, q, _, cr = golden
+    monkeypatch.setattr(cralgebra, "_next_level", lambda rs_, level, sigma_q: frozenset(rs_.roots))
+    with pytest.raises(InvariantViolation, match="strictly decrease"):
+        filter_levels(rs, q.root_set, cr.sigma_q)
+
+
+def test_filter_levels_rejects_a_chain_longer_than_its_bound(golden, monkeypatch):
+    # one root less a step runs past q^inf, down to the empty level
+    rs, q, _, cr = golden
+    monkeypatch.setattr(cralgebra, "_next_level", lambda rs_, level, sigma_q: frozenset(sorted(level)[1:]))
+    with pytest.raises(InvariantViolation, match="theoretical length"):
+        filter_levels(rs, q.root_set, cr.sigma_q)
+
+
+def test_filtration_rejects_a_level_without_q_infty(golden, monkeypatch):
+    _, q, _, cr = golden
+    monkeypatch.setattr(cralgebra, "filter_levels", lambda *args: (q.root_set, frozenset()))
+    with pytest.raises(InvariantViolation, match="contain q\\^inf"):
+        filtration(cr)
+
+
+def test_filtration_rejects_a_level_that_is_not_closed(golden, monkeypatch):
+    # q without a sum of two of its roots that lies outside q^inf
+    rs, q, _, cr = golden
+    level = q.root_set - {_sum_in(rs, q.root_set, q.root_set - cr.q_infty)}
+    monkeypatch.setattr(cralgebra, "filter_levels", lambda *args: (q.root_set, level))
+    with pytest.raises(InvariantViolation, match="every level must be closed"):
+        filtration(cr)
+
+
+def test_witness_rejects_a_set_that_is_not_closed(golden):
+    # q plus one sigma image that does not close up with q
+    rs, q, sigma, cr = golden
+    beta = next(b for b in q.root_set - cr.q_infty
+                if not check_root_set_closed(rs, q.root_set | {sigma.apply(b)}))
+    with pytest.raises(InvariantViolation, match="witness must be closed"):
+        holomorphic_degeneracy_witness(cr, (q.root_set, cr.q_infty | {beta}))
+
+
+def test_witness_rejects_a_set_not_above_q(golden):
+    # a last level inside q^inf adds nothing to q
+    _, q, _, cr = golden
+    with pytest.raises(InvariantViolation, match="strictly between"):
+        holomorphic_degeneracy_witness(cr, (q.root_set, frozenset()))

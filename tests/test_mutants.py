@@ -22,6 +22,7 @@ KERNEL_NAIVE = "tests/test_chevalley.py::test_levi_tensor_kernel_equals_naive_ke
 MINIMALITY_NAIVE = "tests/test_chevalley.py::test_oracle_minimality_equals_naive_loop_"
 REDUCE_LINEAR = "tests/test_properties.py::test_subspace_reduce_is_linear_in_each_coordinate"
 SUM_TABLE = "tests/test_roots.py::test_root_sum_table_"
+CRALGEBRA = "tests/test_cralgebra.py::"
 THEOREM_CHECK = "tests/test_survey.py::test_each_theorem_check_fires"
 
 MUTANTS = [
@@ -107,6 +108,47 @@ MUTANTS = [
         "survey.py", "if finite and q.is_maximal and order > cq + 1:", "if False:",
         [THEOREM_CHECK + "[bound]"],
         id="theorem-bound",
+    ),
+    # each invariant check of cralgebra never fires
+    pytest.param(
+        "cralgebra.py", "if not check_root_set_closed(rs, q_infty):", "if False:",
+        [CRALGEBRA + "test_analyze_rejects_a_q_infty_that_is_not_closed"],
+        id="cralgebra-q-infty-closed",
+    ),
+    pytest.param(
+        "cralgebra.py", "if not nxt < levels[-1]:", "if False:",
+        [CRALGEBRA + "test_filter_levels_rejects_a_step_that_does_not_descend"],
+        id="cralgebra-levels-descend",
+    ),
+    pytest.param(
+        "cralgebra.py", "if len(levels) > cap:", "if False:",
+        [CRALGEBRA + "test_filter_levels_rejects_a_chain_longer_than_its_bound"],
+        id="cralgebra-chain-length",
+    ),
+    pytest.param(
+        "cralgebra.py", "if not cr.q_infty <= level:", "if False:",
+        [CRALGEBRA + "test_filtration_rejects_a_level_without_q_infty"],
+        id="cralgebra-level-contains-q-infty",
+    ),
+    pytest.param(
+        "cralgebra.py", "if not check_root_set_closed(cr.rs, level):", "if False:",
+        [CRALGEBRA + "test_filtration_rejects_a_level_that_is_not_closed"],
+        id="cralgebra-level-closed",
+    ),
+    pytest.param(
+        "cralgebra.py", "if not check_root_set_closed(cr.rs, witness):", "if False:",
+        [CRALGEBRA + "test_witness_rejects_a_set_that_is_not_closed"],
+        id="cralgebra-witness-closed",
+    ),
+    pytest.param(
+        "cralgebra.py", "if not cr.q.root_set < witness <= cr.q_plus:", "if False:",
+        [CRALGEBRA + "test_witness_rejects_a_set_not_above_q"],
+        id="cralgebra-witness-between",
+    ),
+    pytest.param(
+        "cralgebra.py", "if not 1 <= order <= cr.cr_dim:", "if False:",
+        [CRALGEBRA + "test_evaluate_rejects_an_order_above_the_cr_dimension"],
+        id="cralgebra-order-range",
     ),
     # the sum table's strict height cut drops the sums of two roots of equal height
     pytest.param(

@@ -2,7 +2,7 @@ from dataclasses import replace
 
 import pytest
 
-from crflag import survey
+from crflag import chevalley, survey
 from crflag.cralgebra import DEGENERATE, ORBIT_CR, ORBIT_TOTALLY_REAL
 from crflag.involution import cayley_update, identity_involution
 from crflag.parabolic import c_of_q, parabolic_from_subset
@@ -82,13 +82,13 @@ def test_maximal_cr_rows_minimal_and_finite(small_survey):
 
 def test_each_survey_runs_its_own_cross_checks(monkeypatch):
     calls = []
-    real = survey.cross_check
+    real = chevalley.cross_check
 
     def counting(rs, q_roots, sigma_q, fast_levels, fast_minimal):
         calls.append((rs.family, rs.rank, q_roots, sigma_q))
         real(rs, q_roots, sigma_q, fast_levels, fast_minimal)
 
-    monkeypatch.setattr(survey, "cross_check", counting)
+    monkeypatch.setattr(chevalley, "cross_check", counting)
     rows = run_survey(["A"], max_rank=3, involution_source=2, oracle_max_rank=3)
     first = len(calls)
     # one derivation per distinct pair of root sets within a sweep ...

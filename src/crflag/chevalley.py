@@ -40,12 +40,11 @@ algebra.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, combinations
 from math import gcd, lcm
 
-from .roots import InvariantViolation, Root, RootSystem
+from .roots import InvariantViolation, Record, Root, RootSystem
 
 Vec = dict[int, int]
 
@@ -150,9 +149,10 @@ def _build_n_table(rs: RootSystem) -> dict[tuple[int, int], int]:
     return table
 
 
-@dataclass(frozen=True, eq=False)
-class ChevalleyAlgebra:
-    """The algebra over the basis h_1..h_n, then x_alpha per root.
+class ChevalleyAlgebra(Record):
+    """The algebra over the basis h_1..h_n, then x_alpha per root.  Two
+    algebras are equal only if they are the same object, which
+    ``build_chevalley`` returns for each root system.
 
     ``ad`` is the sparse adjoint table, indexed by basis coordinate:
     ``ad[i]`` maps j to [e_i, e_j] and holds only the non-zero brackets,
@@ -164,10 +164,15 @@ class ChevalleyAlgebra:
     ``root_index`` is the one map between roots and basis coordinates.
     """
 
-    rs: RootSystem
-    dim: int
-    root_index: dict[Root, int]          # root -> basis coordinate
-    ad: list[dict[int, Vec]]
+    __slots__ = ("rs", "dim", "root_index", "ad")
+
+    def __init__(self, rs: RootSystem, dim: int, root_index: dict[Root, int],
+                 ad: list[dict[int, Vec]]):
+        set_field = object.__setattr__
+        set_field(self, "rs", rs)
+        set_field(self, "dim", dim)
+        set_field(self, "root_index", root_index)  # root -> basis coordinate
+        set_field(self, "ad", ad)
 
     def bracket(self, u: Vec, v: Vec) -> Vec:
         """[u, v] of two vectors, with its zero entries dropped.  The oracle

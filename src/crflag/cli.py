@@ -15,7 +15,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict
 from typing import TYPE_CHECKING
 
 from .cralgebra import DEGENERATE, ORBIT_CR, analyze, evaluate
@@ -40,6 +39,9 @@ class UsageError(ValueError):
 
 # analyze's cost grows about as rank^3 on the A-D families
 MAX_ANALYZE_RANK = 100
+# survey sweeps 2^rank parabolics per rank, each against every Cayley
+# involution; 8 is the largest exceptional rank and the oracle's bound
+MAX_SURVEY_RANK = 8
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +293,7 @@ def _survey_text(rows: list[SurveyRow]) -> str:
 
 
 def _survey_json(rows: list[SurveyRow]) -> str:
-    return json.dumps([asdict(r) for r in rows], sort_keys=True)
+    return json.dumps([r._asdict() for r in rows], sort_keys=True)
 
 
 def cmd_survey(args) -> int:
@@ -310,6 +312,8 @@ def cmd_survey(args) -> int:
     oracle_rank = min(args.max_rank, args.oracle_max_rank)
     if oracle_rank > 0:
         _check_oracle_rank(oracle_rank, "--oracle-max-rank")
+    if args.max_rank > MAX_SURVEY_RANK:
+        raise UsageError(f"--max-rank: survey is bounded at rank {MAX_SURVEY_RANK}, got {args.max_rank}")
     from .survey import TheoremViolation, run_survey
 
     try:

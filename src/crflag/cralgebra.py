@@ -31,11 +31,11 @@ theorems about the filtration and the witness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .involution import InvolutionData
 from .parabolic import ParabolicData, check_root_set_closed
-from .roots import InvariantViolation, Root, RootSystem, root_sum_table
+from .roots import InvariantViolation, Record, Root, RootSystem, root_sum_table
 
 ORBIT_OPEN = "open"
 ORBIT_TOTALLY_REAL = "totally_real"
@@ -47,23 +47,47 @@ class OrbitTypeError(ValueError):
     """Operation called on an orbit type it is not defined for."""
 
 
-@dataclass(frozen=True)
-class CRAlgebraData:
-    rs: RootSystem
-    q: ParabolicData
-    sigma: InvolutionData
-    sigma_q: frozenset[Root]    # sigma(Phi(q))
-    q_plus: frozenset[Root]     # Phi(q) | sigma(Phi(q))
-    q_infty: frozenset[Root]    # Phi(q) & sigma(Phi(q))
-    dim_Z: int
-    dimR_M: int
-    cr_dim: int
-    cr_codim: int
-    orbit_type: str
+class CRAlgebraData(Record):
+    """The root sets of one case, its dimensions and its orbit type;
+    compared and hashed by its field values."""
+
+    _fields = ("rs", "q", "sigma", "sigma_q", "q_plus", "q_infty",
+               "dim_Z", "dimR_M", "cr_dim", "cr_codim", "orbit_type")
+    __slots__ = _fields + ("__weakref__",)
+
+    def __init__(self, rs: RootSystem, q: ParabolicData, sigma: InvolutionData,
+                 sigma_q: frozenset[Root], q_plus: frozenset[Root], q_infty: frozenset[Root],
+                 dim_Z: int, dimR_M: int, cr_dim: int, cr_codim: int, orbit_type: str):
+        set_field = object.__setattr__
+        set_field(self, "rs", rs)
+        set_field(self, "q", q)
+        set_field(self, "sigma", sigma)
+        set_field(self, "sigma_q", sigma_q)      # sigma(Phi(q))
+        set_field(self, "q_plus", q_plus)        # Phi(q) | sigma(Phi(q))
+        set_field(self, "q_infty", q_infty)      # Phi(q) & sigma(Phi(q))
+        set_field(self, "dim_Z", dim_Z)
+        set_field(self, "dimR_M", dimR_M)
+        set_field(self, "cr_dim", cr_dim)
+        set_field(self, "cr_codim", cr_codim)
+        set_field(self, "orbit_type", orbit_type)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self._fields, self._values()))
+        return f"CRAlgebraData({fields})"
 
 
-@dataclass(frozen=True)
-class CaseResult:
+class CaseResult(NamedTuple):
     levels: tuple[frozenset[Root], ...]   # q(0) > q(1) > ..., up to the stationary level
     order: int | str                  # k, "degenerate", "open" or "totally_real"
     witness: frozenset[Root] | None   # degenerate CR orbits only

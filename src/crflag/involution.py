@@ -18,9 +18,7 @@ steps commute.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from .roots import InvariantViolation, Root, RootSystem
+from .roots import InvariantViolation, Record, Root, RootSystem
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -30,20 +28,34 @@ class InvolutionError(ValueError):
     precondition does not hold; the message names the failure."""
 
 
-@dataclass(frozen=True)
-class InvolutionData:
+class InvolutionData(Record):
     """A validated root-lattice involution.
 
     ``images`` maps every root beta to sigma(beta); ``matrix`` is the same
     map on root coordinates, its columns the images of the simple roots.
     ``provenance`` is "identity", "explicit", or the tuple of Cayley roots
-    applied left to right starting from the identity.  Equality and hash
-    use ``matrix`` and ``provenance`` only.
+    applied left to right starting from the identity.  Equality, hash and
+    repr use ``matrix`` and ``provenance`` only.
     """
 
-    matrix: Matrix
-    provenance: str | tuple[Root, ...]
-    images: dict[Root, Root] = field(compare=False, repr=False)
+    __slots__ = ("matrix", "provenance", "images")
+
+    def __init__(self, matrix: Matrix, provenance: str | tuple[Root, ...], images: dict[Root, Root]):
+        set_field = object.__setattr__
+        set_field(self, "matrix", matrix)
+        set_field(self, "provenance", provenance)
+        set_field(self, "images", images)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.matrix == other.matrix and self.provenance == other.provenance
+
+    def __hash__(self):
+        return hash((self.matrix, self.provenance))
+
+    def __repr__(self) -> str:
+        return f"InvolutionData(matrix={self.matrix!r}, provenance={self.provenance!r})"
 
     def apply(self, root: Root) -> Root:
         """sigma(root); sigma is defined on roots only."""
@@ -170,7 +182,9 @@ def enumerate_cayley_involutions(rs: RootSystem, max_chain_length: int) -> list[
     -gamma coincide, so only positive representatives are explored, and
     steps at strongly orthogonal roots commute, so each chain is built
     once, in table order.  The returned list is deterministic: breadth
-    first, chains in lexicographic table order, first matrix kept.
+    first, chains in lexicographic table order, first matrix kept.  The
+    rounds stop once no chain extends, which happens by round rank + 1,
+    however large ``max_chain_length`` is.
     """
     positives = rs.positive_roots
     start = identity_involution(rs)
@@ -178,6 +192,8 @@ def enumerate_cayley_involutions(rs: RootSystem, max_chain_length: int) -> list[
     # (involution, chain, table index after the chain's last root)
     frontier: list[tuple[InvolutionData, tuple[Root, ...], int]] = [(start, (), 0)]
     for _ in range(max_chain_length):
+        if not frontier:
+            break
         nxt: list[tuple[InvolutionData, tuple[Root, ...], int]] = []
         for sigma, chain, first in frontier:
             for k in range(first, len(positives)):

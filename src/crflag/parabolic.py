@@ -8,7 +8,7 @@ the kept subset.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .roots import InvariantViolation, Root, RootSystem, highest_root, root_sum_table
 
@@ -17,8 +17,7 @@ class NotMaximal(ValueError):
     """Raised by operations defined only for maximal parabolics."""
 
 
-@dataclass(frozen=True)
-class ParabolicData:
+class ParabolicData(NamedTuple):
     qr: frozenset[int]          # kept simple-root indices, 1-based
     root_set: frozenset[Root]
     is_maximal: bool

@@ -29,7 +29,6 @@ of roots and its negative, and no other pair of roots is tried.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import add
 
@@ -56,9 +55,28 @@ _MAX_COEFFICIENT = 6
 _CODE_BASE = 4 * _MAX_COEFFICIENT + 1
 
 
-@dataclass(frozen=True, eq=False)
-class RootSystem:
-    """Immutable root system data; safe to share between threads.
+class Record:
+    """Base of the records that are classes rather than named tuples.
+
+    A subclass lists its fields in ``__slots__`` and sets each one once in
+    its ``__init__`` through ``object.__setattr__``; assigning or deleting
+    an attribute afterwards raises ``AttributeError``.  Equality and hash
+    are identity unless the subclass defines them.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class RootSystem(Record):
+    """Immutable root system data; safe to share between threads.  Two
+    root systems are equal only if they are the same object, which
+    ``build_root_system`` returns for each type.
 
     ``form`` is the integer Gram matrix of 6 kappa on the simple roots.
     ``roots`` is the one root numbering: the positive roots in
@@ -68,13 +86,19 @@ class RootSystem:
     it is the test for "is a root".
     """
 
-    family: str
-    rank: int
-    cartan_matrix: tuple[tuple[int, ...], ...]
-    positive_roots: tuple[Root, ...]
-    form: tuple[tuple[int, ...], ...]
-    roots: tuple[Root, ...]
-    root_code: dict[Root, int]
+    __slots__ = ("family", "rank", "cartan_matrix", "positive_roots", "form", "roots", "root_code")
+
+    def __init__(self, family: str, rank: int, cartan_matrix: tuple[tuple[int, ...], ...],
+                 positive_roots: tuple[Root, ...], form: tuple[tuple[int, ...], ...],
+                 roots: tuple[Root, ...], root_code: dict[Root, int]):
+        set_field = object.__setattr__
+        set_field(self, "family", family)
+        set_field(self, "rank", rank)
+        set_field(self, "cartan_matrix", cartan_matrix)
+        set_field(self, "positive_roots", positive_roots)
+        set_field(self, "form", form)
+        set_field(self, "roots", roots)
+        set_field(self, "root_code", root_code)
 
     def simple(self, i: int) -> Root:
         """The simple root alpha_i, 1-based."""

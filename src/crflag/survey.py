@@ -12,8 +12,8 @@ A violated assertion aborts the sweep with a reproducer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 from .cralgebra import ORBIT_CR, analyze, evaluate
 from .involution import InvolutionData, enumerate_cayley_involutions
@@ -35,8 +35,7 @@ class TheoremViolation(Exception):
         )
 
 
-@dataclass(frozen=True)
-class SurveyRow:
+class SurveyRow(NamedTuple):
     family: str
     rank: int
     qr: tuple[int, ...]

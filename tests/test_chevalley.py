@@ -1,5 +1,4 @@
 import ast
-import dataclasses
 import hashlib
 import random
 from fractions import Fraction
@@ -28,7 +27,7 @@ from crflag.involution import (
     involution_from_matrix,
 )
 from crflag.parabolic import parabolic_from_subset
-from crflag.roots import InvariantViolation, build_root_system, is_valid_type
+from crflag.roots import InvariantViolation, RootSystem, build_root_system, is_valid_type
 
 
 @pytest.fixture(scope="module")
@@ -185,7 +184,9 @@ def test_n_table_computes_each_root_length_once(monkeypatch):
 def test_n_table_rejects_a_pair_in_two_triples():
     # a repeated positive root repeats its decompositions
     rs = build_root_system("B", 3)
-    rs = dataclasses.replace(rs, positive_roots=rs.positive_roots + rs.positive_roots[-1:])
+    rs = RootSystem(family=rs.family, rank=rs.rank, cartan_matrix=rs.cartan_matrix,
+                    positive_roots=rs.positive_roots + rs.positive_roots[-1:], form=rs.form,
+                    roots=rs.roots, root_code=rs.root_code)
     with pytest.raises(InvariantViolation, match="lies in two triples"):
         chevalley._build_n_table(rs)
 
@@ -249,7 +250,7 @@ def test_jacobi_check_catches_one_wrong_sign():
     i, j = ca.root_index[(1, 0, 0)], ca.root_index[(0, 1, 0)]
     ((k, n),) = ad[i][j].items()
     ad[i][j] = {k: -n}
-    broken = dataclasses.replace(ca, ad=ad)
+    broken = ChevalleyAlgebra(rs=rs, dim=ca.dim, root_index=ca.root_index, ad=ad)
     with pytest.raises(InvariantViolation, match="Jacobi fails"):
         jacobi_check(broken)
     assert jacobi_check(ca) == ca.dim * (ca.dim - 1) * (ca.dim - 2) // 6

@@ -412,6 +412,16 @@ def test_survey_edge_values_exit_two(capsys, monkeypatch, argv, flag):
     assert err.startswith(f"error: {flag}:")
 
 
+@pytest.mark.parametrize("max_rank, oracle_max_rank", [("9", "0"), ("1000", "4")])
+def test_survey_above_rank_eight_exits_two(capsys, monkeypatch, max_rank, oracle_max_rank):
+    # refused before any case is swept
+    monkeypatch.setattr("crflag.survey.run_survey", None)
+    code, out, err = run_cli(capsys, "survey", "--families", "A", "--max-rank", max_rank,
+                             "--oracle-max-rank", oracle_max_rank)
+    assert code == 2 and out == ""
+    assert err == f"error: --max-rank: survey is bounded at rank 8, got {max_rank}\n"
+
+
 def test_survey_oracle_rank_above_eight_is_fine_below_max_rank(capsys):
     code, out, _ = run_cli(
         capsys, "survey", "--families", "A", "--max-rank", "2", "--oracle-max-rank", "9",
@@ -622,7 +632,8 @@ import json
 import sys
 from crflag.cli import main
 code = main(sys.argv[1:])
-print(json.dumps([m for m in sys.modules if m.startswith("crflag.")]), file=sys.stderr)
+print(json.dumps([m for m in sys.modules if m.startswith("crflag.")
+                  or m in ("dataclasses", "inspect")]), file=sys.stderr)
 sys.exit(code)
 """
 
@@ -633,11 +644,15 @@ sys.exit(code)
     (("survey", "--families", "A", "--max-rank", "2", "--oracle-max-rank", "0"),
      {"crflag.survey"}, {"crflag.chevalley"}),
     (GOLDEN_ARGS + ("--oracle",), {"crflag.chevalley"}, {"crflag.survey"}),
-], ids=["analyze-split", "survey-without-oracle", "analyze-oracle"])
+    (("example-so7",), {"crflag.cralgebra"}, {"crflag.chevalley", "crflag.survey"}),
+], ids=["analyze-split", "survey-without-oracle", "analyze-oracle", "example-so7"])
 def test_command_loads_only_the_layers_it_runs(argv, loaded, not_loaded):
+    # the records are plain classes and named tuples: no command pays for
+    # ``dataclasses`` and the ``inspect`` it imports
     proc = _python("-c", _LAYERS_LOADED_BY_COMMAND, *argv,
                    stdout=subprocess.PIPE, stderr=subprocess.PIPE)
     _, err = proc.communicate(timeout=120)
     assert proc.returncode == 0, err
     modules = set(json.loads(err.decode().splitlines()[-1]))
     assert loaded <= modules and not modules & not_loaded, modules
+    assert not modules & {"dataclasses", "inspect"}, modules

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 
 import pytest
@@ -11,7 +10,15 @@ from crflag.involution import (
     involution_from_matrix,
     strongly_orthogonal,
 )
-from crflag.roots import build_root_system, pairing
+from crflag.roots import RootSystem, build_root_system, pairing
+
+
+def _a2_with_form(form) -> RootSystem:
+    """A2 with its Gram matrix replaced by ``form``."""
+    a2 = build_root_system("A", 2)
+    return RootSystem(family="A", rank=2, cartan_matrix=a2.cartan_matrix,
+                      positive_roots=a2.positive_roots, form=form, roots=a2.roots,
+                      root_code=a2.root_code)
 
 
 def test_identity():
@@ -63,7 +70,7 @@ def test_constructor_rejects_form_breaking_permutation():
     # a form that no root system has: with alpha_2 half as long as
     # alpha_1, the A2 diagram swap is still an involution of the root set,
     # but not an isometry
-    rs = dataclasses.replace(build_root_system("A", 2), form=((6, -3), (-3, 3)))
+    rs = _a2_with_form(((6, -3), (-3, 3)))
     with pytest.raises(InvolutionError, match="invariant form"):
         involution_from_matrix(rs, ((0, 1), (1, 0)))
 
@@ -154,7 +161,7 @@ def test_matrix_box_accepts_exactly_the_involutions(family, rank, bound, accepte
 def test_cayley_rejects_non_integral_pairing():
     # a form that no root system has: <alpha_2|alpha_1> = 2 (-1) / 6 is not
     # an integer, so the step must fail instead of writing fractions
-    rs = dataclasses.replace(build_root_system("A", 2), form=((6, -1), (-1, 6)))
+    rs = _a2_with_form(((6, -1), (-1, 6)))
     with pytest.raises(InvolutionError):
         cayley_update(rs, identity_involution(rs), (1, 0))
 
@@ -233,6 +240,16 @@ def test_enumeration_counts_by_depth(family, rank, counts):
     for d in range(4):
         expected = [(s.matrix, s.provenance) for s in _brute_force_cayley(rs, d)]
         assert [(s.matrix, s.provenance) for s in enumerate_cayley_involutions(rs, d)] == expected
+
+
+@pytest.mark.parametrize("family, rank", [("A", 3), ("B", 3), ("G", 2)])
+def test_enumeration_stops_once_no_chain_extends(family, rank):
+    # a chain of strongly orthogonal roots is at most rank long, so a
+    # deeper bound adds no round of work, however large it is
+    rs = build_root_system(family, rank)
+    expected = [(s.matrix, s.provenance) for s in enumerate_cayley_involutions(rs, rank)]
+    got = [(s.matrix, s.provenance) for s in enumerate_cayley_involutions(rs, 10**12)]
+    assert got == expected
 
 
 def _brute_force_cayley(rs, depth):

@@ -24,6 +24,8 @@ REDUCE_LINEAR = "tests/test_properties.py::test_subspace_reduce_is_linear_in_eac
 SUM_TABLE = "tests/test_roots.py::test_root_sum_table_"
 CRALGEBRA = "tests/test_cralgebra.py::"
 THEOREM_CHECK = "tests/test_survey.py::test_each_theorem_check_fires"
+RECORDS = "tests/test_records.py::"
+IMMUTABLE = RECORDS + "test_record_is_immutable_and_rebuilds_by_keyword"
 
 MUTANTS = [
     # the product drops u's coefficient from every term
@@ -149,6 +151,57 @@ MUTANTS = [
         "cralgebra.py", "if not 1 <= order <= cr.cr_dim:", "if False:",
         [CRALGEBRA + "test_evaluate_rejects_an_order_above_the_cr_dimension"],
         id="cralgebra-order-range",
+    ),
+    # a record accepts an assignment, and a deletion
+    pytest.param(
+        "roots.py", 'raise AttributeError(f"cannot assign to field {name!r}")',
+        "object.__setattr__(self, name, value)",
+        [IMMUTABLE + "[InvolutionData]"],
+        id="record-assigns",
+    ),
+    pytest.param(
+        "roots.py", 'raise AttributeError(f"cannot delete field {name!r}")',
+        "object.__delattr__(self, name)",
+        [IMMUTABLE + "[CRAlgebraData]"],
+        id="record-deletes",
+    ),
+    # involutions compare without their provenance
+    pytest.param(
+        "involution.py", "return self.matrix == other.matrix and self.provenance == other.provenance",
+        "return self.matrix == other.matrix",
+        [RECORDS + "test_involutions_compare_by_matrix_and_provenance"],
+        id="involution-eq-without-provenance",
+    ),
+    # ... hash their images
+    pytest.param(
+        "involution.py", "return hash((self.matrix, self.provenance))",
+        "return hash((self.matrix, self.provenance, len(self.images)))",
+        [RECORDS + "test_involutions_compare_by_matrix_and_provenance"],
+        id="involution-hash-with-images",
+    ),
+    # ... print their images
+    pytest.param(
+        "involution.py", "provenance={self.provenance!r})",
+        "provenance={self.provenance!r}, images={self.images!r})",
+        [RECORDS + "test_involution_repr_leaves_out_images"],
+        id="involution-repr-with-images",
+    ),
+    # a record compares its fields with those of any object
+    pytest.param(
+        "involution.py", "if other.__class__ is not self.__class__:", "if False:",
+        [IMMUTABLE + "[InvolutionData]"],
+        id="involution-eq-any-class",
+    ),
+    pytest.param(
+        "cralgebra.py", "if other.__class__ is not self.__class__:", "if False:",
+        [IMMUTABLE + "[CRAlgebraData]"],
+        id="cralgebra-eq-any-class",
+    ),
+    # survey starts a sweep above its rank bound
+    pytest.param(
+        "cli.py", "if args.max_rank > MAX_SURVEY_RANK:", "if False:",
+        ["tests/test_cli.py::test_survey_above_rank_eight_exits_two"],
+        id="survey-rank-unbounded",
     ),
     # the sum table's strict height cut drops the sums of two roots of equal height
     pytest.param(

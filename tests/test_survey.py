@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import pytest
 
 from crflag import chevalley, survey
@@ -123,7 +121,7 @@ def test_each_theorem_check_fires(monkeypatch, case, fields, message):
     for gamma in chain:
         sigma = cayley_update(rs, sigma, gamma)
     real = survey.evaluate
-    monkeypatch.setattr(survey, "evaluate", lambda cr: replace(real(cr), **fields))
+    monkeypatch.setattr(survey, "evaluate", lambda cr: real(cr)._replace(**fields))
     cq = c_of_q(rs, q) if q.is_maximal else None
     with pytest.raises(TheoremViolation) as info:
         survey._survey_case(rs, q, cq, sigma, False, 0, set())

@@ -65,8 +65,10 @@ def _string_down(root_of: dict[int, Root], alpha: int, beta: int) -> int:
     return p
 
 
-def _build_n_table(rs: RootSystem) -> dict[tuple[int, int], int]:
-    """Constants N(alpha,beta) for every ordered pair with alpha+beta a root.
+def _fill_root_brackets(rs: RootSystem, code_index: dict[int, int], length: dict[int, int],
+                        ad: list[dict[int, Vec]]) -> None:
+    """Write [x_alpha, x_beta] = N(alpha,beta) x_(alpha+beta) into ``ad``
+    for every ordered pair with alpha+beta a root.
 
     Every relation alpha + beta = gamma lies in one zero-sum triple, and
     one decomposition gamma = alpha + beta of a positive root gives two of
@@ -75,25 +77,24 @@ def _build_n_table(rs: RootSystem) -> dict[tuple[int, int], int]:
     the first, extraspecial, pair of each gamma gets +(p+1) and the others
     are solved from a Jacobi relation against it, whose constants belong
     to lower sums or to gamma's extraspecial triple and so are already in
-    the table.  One constant fills the twelve of its two triples through
+    ``ad``.  One constant fills the twelve of its two triples through
     N(b,a) = -N(a,b), N(-a,-b) = -N(a,b) and the cycle
     N(a,b)/kappa(c,c) = N(b,c)/kappa(a,a) for a+b+c = 0; an ordered pair
     met twice raises, as does an entry whose modulus is not p+1.
 
     Roots are handled by their integer codes (``rs.root_code``: sums and
     negatives are integer sums and negatives, and a root is positive iff
-    its code is), and kappa(a,a) is computed once per root.  All arithmetic
-    is on integers: the Jacobi step and a length ratio are exact divisions
-    that raise on a remainder.  The keys of the returned table are pairs
-    of root codes.
+    its code is); ``code_index`` maps a code to its basis coordinate and
+    ``length`` to 6 kappa(a,a).  All arithmetic is on integers: the Jacobi
+    step and a length ratio are exact divisions that raise on a remainder.
     """
     root_of = {c: r for r, c in rs.root_code.items()}
     # rs.positive_roots is ordered by height, then lexicographically
     by_height = [rs.root_code[r] for r in rs.positive_roots]
     order = {c: i for i, c in enumerate(by_height)}
-    # 6 kappa(a, a), an integer
-    length = {c: rs.inner(r, r) for c, r in root_of.items()}
-    table: dict[tuple[int, int], int] = {}
+
+    def constant(a: int, b: int) -> int:  # N(a, b), read back from ad
+        return ad[code_index[a]][code_index[b]][code_index[a + b]]
 
     def scaled(n: int, num: int, den: int) -> int:
         """n * num / den, exactly."""
@@ -110,13 +111,14 @@ def _build_n_table(rs: RootSystem) -> dict[tuple[int, int], int]:
                           (beta, c, scaled(n, length[alpha], length[c])),
                           (c, alpha, scaled(n, length[beta], length[c]))):
             for x, y, v in ((a, b, nab), (b, a, -nab), (-a, -b, -nab), (-b, -a, nab)):
-                if (x, y) in table:
+                row, j = ad[code_index[x]], code_index[y]
+                if j in row:
                     raise InvariantViolation(f"N{(root_of[x], root_of[y])} lies in two triples")
                 if abs(v) != _string_down(root_of, x, y) + 1:
                     raise InvariantViolation(
                         f"N{(root_of[x], root_of[y])} must be an integer of modulus p+1"
                     )
-                table[(x, y)] = v
+                row[j] = {code_index[x + y]: v}
 
     # the first rank roots by height are the simple roots; the pairs of
     # each sum come in increasing order of alpha, extraspecial first
@@ -138,15 +140,14 @@ def _build_n_table(rs: RootSystem) -> dict[tuple[int, int], int]:
             acc = 0
             d2 = beta - ex_alpha
             if d2 in root_of:
-                acc += table[(beta, -ex_alpha)] * table[(alpha, d2)]
+                acc += constant(beta, -ex_alpha) * constant(alpha, d2)
             d3 = alpha - ex_alpha
             if d3 in root_of:
-                acc += table[(-ex_alpha, alpha)] * table[(beta, d3)]
-            val, rem = divmod(-acc, table[(-ex_alpha, gamma)])
+                acc += constant(-ex_alpha, alpha) * constant(beta, d3)
+            val, rem = divmod(-acc, constant(-ex_alpha, gamma))
             if rem:
                 raise InvariantViolation("the Jacobi relation must give an integer constant")
             fill(alpha, beta, val)
-    return table
 
 
 class ChevalleyAlgebra(Record):
@@ -219,16 +220,19 @@ def _jacobi_defect(ca: ChevalleyAlgebra, i: int, j: int, k: int) -> Vec:
 def _distinct_triples(rng: random.Random, dim: int, count: int):
     """``count`` triples of distinct coordinates below ``dim``, each drawn
     by rejecting repeats.  Above dim 21 this is how ``rng.sample(range(dim),
-    3)`` draws, so the triples are the same, without its set-up per call."""
-    draw = rng.randrange
+    3)`` draws, so the triples are the same, without its set-up per call;
+    each coordinate inlines ``rng.randrange(dim)``: ``width`` bits, redrawn
+    while they reach ``dim``."""
+    bits = rng.getrandbits
+    width = dim.bit_length()
     for _ in range(count):
-        i = draw(dim)
-        j = draw(dim)
-        while j == i:
-            j = draw(dim)
-        k = draw(dim)
-        while k == i or k == j:
-            k = draw(dim)
+        i = j = k = dim  # out of range, so each loop draws
+        while i >= dim:
+            i = bits(width)
+        while j >= dim or j == i:
+            j = bits(width)
+        while k >= dim or k == i or k == j:
+            k = bits(width)
         yield i, j, k
 
 
@@ -259,9 +263,11 @@ def build_chevalley(rs: RootSystem) -> ChevalleyAlgebra:
 
     cartan = rs.cartan_matrix
     ad: list[dict[int, Vec]] = [{} for _ in range(n + len(rs.roots))]
+    length: dict[int, int] = {}  # 6 kappa(beta, beta) per root code
     for beta in rs.roots:
         x = root_index[beta]
-        kbb = rs.inner(beta, beta)
+        code = rs.root_code[beta]
+        kbb = length[code] = rs.inner(beta, beta)
         coroot: Vec = {}
         for i, c in enumerate(beta):
             val, rem = divmod(c * rs.form[i][i], kbb)
@@ -269,7 +275,7 @@ def build_chevalley(rs: RootSystem) -> ChevalleyAlgebra:
                 raise InvariantViolation("coroots are integral over the coroot basis")
             if val:
                 coroot[i] = val
-        ad[x][code_index[-rs.root_code[beta]]] = coroot
+        ad[x][code_index[-code]] = coroot
         # <beta|alpha_i> = sum_j beta_j <alpha_j|alpha_i>: the combination
         # of the Cartan-matrix rows with beta's coefficients
         eigen = [0] * n
@@ -280,8 +286,7 @@ def build_chevalley(rs: RootSystem) -> ChevalleyAlgebra:
             if val:
                 ad[i][x] = {x: val}
                 ad[x][i] = {x: -val}
-    for (a, b), nab in _build_n_table(rs).items():
-        ad[code_index[a]][code_index[b]] = {code_index[a + b]: nab}
+    _fill_root_brackets(rs, code_index, length, ad)
 
     ca = ChevalleyAlgebra(rs=rs, dim=n + len(rs.roots), root_index=root_index, ad=ad)
     jacobi_check(ca, sample=None if rs.rank <= 4 else 4000)

@@ -18,7 +18,9 @@ computes every answer of the case once: the filtration as the tuple of
 its levels, the order and degeneracy witness read off that chain (the
 order is its length minus one, and "q^inf reached" compares its last
 level, so neither is stored beside it), and minimality.  The CLI and the
-survey read every answer from these two and derive none.
+survey read every answer from these two and derive none.  Off CR orbits
+the orbit type answers without a bracket: q + sigma(q) is Phi if open and
+q if totally real, so the chain is q alone, minimal iff the orbit is open.
 
 sigma reaches this module already validated: ``involution._involution``
 builds it as a linear involution of Phi.  So every fact that follows
@@ -105,17 +107,17 @@ def analyze(rs: RootSystem, q: ParabolicData, sigma: InvolutionData) -> CRAlgebr
     since |sigma(q)| = |q|, which is also dim M = 2 CR-dim + CR-codim; a
     lone transversal root is sigma-fixed, since Phi minus q + sigma(q) is
     sigma-stable.  The closedness of q^inf is implied too (q is closed
-    and sigma is linear), but it is still checked here.  Dropping it
-    speeds the sweep benchmark up so far that the harness, whose own
-    memory grows with each repetition it keeps, reports a peak RSS beyond
-    its bound; it goes once the benchmark measures each interpreter's own
-    peak (ROADMAP item 1)."""
+    and sigma is linear), but it is still checked here on open and CR
+    orbits.  On a totally real orbit q + sigma(q) = q, so sigma(q) = q and
+    q^inf is q, which ``parabolic_from_subset`` has checked.  Dropping the
+    check everywhere speeds the sweep benchmark up so far that the
+    harness, whose own memory grows with each repetition it keeps, reports
+    a peak RSS beyond its bound; it goes once the benchmark measures each
+    interpreter's own peak (ROADMAP item 1)."""
     q_roots = q.root_set
     sigma_q = frozenset(map(sigma.apply, q_roots))
     q_plus = q_roots | sigma_q
     q_infty = q_roots & sigma_q
-    if not check_root_set_closed(rs, q_infty):
-        raise InvariantViolation("q^inf must be closed under root addition")
     n_roots = len(rs.roots)
     cr_codim = n_roots - len(q_plus)
     if cr_codim == 0:
@@ -124,6 +126,8 @@ def analyze(rs: RootSystem, q: ParabolicData, sigma: InvolutionData) -> CRAlgebr
         orbit = ORBIT_TOTALLY_REAL
     else:
         orbit = ORBIT_CR
+    if orbit != ORBIT_TOTALLY_REAL and not check_root_set_closed(rs, q_infty):
+        raise InvariantViolation("q^inf must be closed under root addition")
     return CRAlgebraData(
         rs=rs,
         q=q,
@@ -225,7 +229,10 @@ def addition_closure(rs: RootSystem, roots) -> frozenset[Root]:
 
 def is_minimal(cr: CRAlgebraData) -> bool:
     """True iff q + sigma(q) generates the whole algebra, i.e. the addition
-    closure of its root content is all of Phi."""
+    closure of its root content is all of Phi.  Off CR orbits the type
+    answers: it is Phi if open, and q, closed and proper, if totally real."""
+    if cr.orbit_type != ORBIT_CR:
+        return cr.orbit_type == ORBIT_OPEN
     return addition_closure(cr.rs, cr.q_plus) == frozenset(cr.rs.roots)
 
 

@@ -295,9 +295,12 @@ def root_sum_table(rs: RootSystem) -> dict[Root, dict[Root, Root]]:
         for i in range(half):
             j = positive_id(code - codes[i])
             if j is not None and i < j:
-                rows[i].update({j: k, k + n: j + n})
-                rows[j].update({i: k, k + n: i + n})
-                rows[k].update({i + n: j, j + n: i})
+                rows[i][j] = k
+                rows[i][k + n] = j + n
+                rows[j][i] = k
+                rows[j][k + n] = i + n
+                rows[k][i + n] = j
+                rows[k][j + n] = i
     negated = roots[n:] + roots[:n]  # negated[x] == -roots[x]
     positive_rows, negative_rows = [], []
     for row in rows:

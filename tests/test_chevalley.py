@@ -105,10 +105,10 @@ def test_n_table_chevalley_integrality():
             assert abs(n) == p + 1
 
 
-# sha256 of repr(sorted(_build_n_table(rs).items())) with each root code
-# mapped back to its root tuple, first 16 hex digits, recorded when the
-# table was built on root tuples and Fraction lengths per pair: the
-# constants must not change with the arithmetic.
+# sha256 of repr(sorted(table.items())) for N(a, b) keyed by pairs of root
+# tuples and read off ``ad``, first 16 hex digits, recorded when the table
+# was built on root tuples and Fraction lengths per pair: the constants
+# must not change with the arithmetic.
 N_TABLE_DIGESTS = {
     ("B", 3): "2527a053eff24b41",
     ("C", 3): "68e4540d1bf4bfdf",
@@ -122,9 +122,7 @@ N_TABLE_DIGESTS = {
 
 @pytest.mark.parametrize("family,rank", sorted(N_TABLE_DIGESTS))
 def test_structure_constants_pinned(family, rank):
-    rs = build_root_system(family, rank)
-    root_of = {c: r for r, c in rs.root_code.items()}
-    table = {(root_of[a], root_of[b]): n for (a, b), n in chevalley._build_n_table(rs).items()}
+    table = _structure_constants(build_chevalley(build_root_system(family, rank)))
     digest = hashlib.sha256(repr(sorted(table.items())).encode()).hexdigest()[:16]
     assert digest == N_TABLE_DIGESTS[(family, rank)]
 
@@ -173,12 +171,10 @@ def test_n_table_computes_each_root_length_once(monkeypatch):
         return inner(self, beta, gamma)
 
     monkeypatch.setattr(type(rs), "inner", counting_inner)
-    chevalley._build_n_table(rs)
-    assert sorted(calls) == sorted((beta, beta) for beta in rs.roots)
+    # one length per root serves the coroots and the structure constants;
     # the Cartan eigenvalues come off the Cartan matrix, not a pairing
-    calls.clear()
     build_chevalley.__wrapped__(rs)
-    assert calls and all(beta == gamma for beta, gamma in calls)
+    assert sorted(calls) == sorted((beta, beta) for beta in rs.roots)
 
 
 def test_n_table_rejects_a_pair_in_two_triples():
@@ -188,7 +184,7 @@ def test_n_table_rejects_a_pair_in_two_triples():
                     positive_roots=rs.positive_roots + rs.positive_roots[-1:], form=rs.form,
                     roots=rs.roots, root_code=rs.root_code)
     with pytest.raises(InvariantViolation, match="lies in two triples"):
-        chevalley._build_n_table(rs)
+        build_chevalley.__wrapped__(rs)
 
 
 def test_oracle_imports_nothing_of_the_fast_path():

@@ -260,7 +260,8 @@ def test_identities_analyze_takes_from_the_involution():
 
 def test_filtration_off_cr_orbits_is_the_full_chain():
     # filtration returns q alone on open and totally real orbits without
-    # running the kernel steps; the steps reach the same chain
+    # running the kernel steps, and is_minimal answers from the orbit type
+    # without the closure; the steps and the closure reach the same answers
     kinds = set()
     for rs, q, sigma in _depth_three_cases():
         cr = analyze(rs, q, sigma)
@@ -268,7 +269,27 @@ def test_filtration_off_cr_orbits_is_the_full_chain():
             continue
         kinds.add(cr.orbit_type)
         assert filtration(cr) == filter_levels(rs, q.root_set, cr.sigma_q) == (q.root_set,)
+        assert is_minimal(cr) == (addition_closure(rs, cr.q_plus) == frozenset(rs.roots))
     assert kinds == {ORBIT_OPEN, ORBIT_TOTALLY_REAL}
+
+
+def test_totally_real_case_scans_no_root_sums(monkeypatch):
+    # A30 split is totally real: q^inf is q, closed by construction, and
+    # q + sigma(q) = q is proper, so neither answer scans a root sum
+    rs = build_root_system("A", 30)
+    q = parabolic_from_subset(rs, {1})
+    calls = []
+    for name in ("check_root_set_closed", "addition_closure"):
+        def counting(*args, _name=name, _real=getattr(cralgebra, name)):
+            calls.append(_name)
+            return _real(*args)
+
+        monkeypatch.setattr(cralgebra, name, counting)
+    cr = analyze(rs, q, identity_involution(rs))
+    result = evaluate(cr)
+    assert cr.orbit_type == ORBIT_TOTALLY_REAL and cr.q_infty == q.root_set
+    assert result.order == ORBIT_TOTALLY_REAL and result.minimal is False
+    assert calls == []
 
 
 def test_analyze_applies_sigma_once_per_root_of_q(golden, monkeypatch):

@@ -65,9 +65,9 @@ MUTANTS = [
         ["tests/test_chevalley.py::test_cross_check_names_the_first_level_that_differs"],
         id="cross-check-skips-levels",
     ),
-    # the N-table accepts an ordered pair met in a second triple
+    # the structure constants accept an ordered pair met in a second triple
     pytest.param(
-        "chevalley.py", "if (x, y) in table:", "if False:",
+        "chevalley.py", "if j in row:", "if False:",
         ["tests/test_chevalley.py::test_n_table_rejects_a_pair_in_two_triples"],
         id="n-table-pair-in-two-triples",
     ),
@@ -113,9 +113,21 @@ MUTANTS = [
     ),
     # each invariant check of cralgebra never fires
     pytest.param(
-        "cralgebra.py", "if not check_root_set_closed(rs, q_infty):", "if False:",
+        "cralgebra.py", "and not check_root_set_closed(rs, q_infty):", "and False:",
         [CRALGEBRA + "test_analyze_rejects_a_q_infty_that_is_not_closed"],
         id="cralgebra-q-infty-closed",
+    ),
+    # analyze checks q^inf only on totally real orbits, where it is q
+    pytest.param(
+        "cralgebra.py", "if orbit != ORBIT_TOTALLY_REAL and", "if orbit == ORBIT_TOTALLY_REAL and",
+        [CRALGEBRA + "test_analyze_rejects_a_q_infty_that_is_not_closed"],
+        id="cralgebra-q-infty-check-on-totally-real",
+    ),
+    # off CR orbits, only the totally real ones are minimal
+    pytest.param(
+        "cralgebra.py", "return cr.orbit_type == ORBIT_OPEN", "return cr.orbit_type != ORBIT_OPEN",
+        [CRALGEBRA + "test_minimality_cases", CRALGEBRA + "test_filtration_off_cr_orbits_is_the_full_chain"],
+        id="cralgebra-off-cr-minimality-flipped",
     ),
     pytest.param(
         "cralgebra.py", "if not nxt < levels[-1]:", "if False:",
